@@ -2,11 +2,13 @@
 //!
 //! The `ppl-bench` binary installs [`CountingAlloc`] as its global
 //! allocator, so the throughput harness can report how many heap
-//! allocations the steady-state particle loop performs (the tentpole
-//! number is **zero**; see `tests/alloc_budget.rs` for the enforcing
-//! test).  Library consumers that do not install the allocator get
-//! [`installed`]` == false` and the harness reports the metric as unknown
-//! (`null` in the JSON) instead of a vacuous zero.
+//! allocations a whole importance-sampling run performs per particle
+//! (a constant per run, so a vanishing figure per particle; see
+//! `tests/alloc_budget.rs` for the enforcing tests, which also hold the
+//! warmed particle loop at **zero**).  Library consumers that do not
+//! install the allocator get [`installed`]` == false` and the harness
+//! reports the metric as unknown (`null` in the JSON) instead of a
+//! vacuous zero.
 //!
 //! Counts are kept both process-wide ([`allocations`]) and **per thread**
 //! ([`thread_allocations`]).  Measurements use the per-thread counter:

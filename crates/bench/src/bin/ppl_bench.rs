@@ -19,8 +19,9 @@ use ppl_bench::throughput::{
 };
 use std::process::ExitCode;
 
-/// Counting allocator so the report can include `allocs_per_particle` /
-/// `allocs_per_proposal` (the steady-state targets are zero); the counter
+/// Counting allocator so the report can include `allocs_per_particle`
+/// (end-to-end IS runs) and `allocs_per_proposal` (the steady-state MH
+/// chain, whose target is zero); the counter
 /// is a relaxed atomic increment per allocation, far below measurement
 /// noise on the timed sections.
 #[global_allocator]

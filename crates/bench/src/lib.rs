@@ -21,7 +21,7 @@ use ppl_compiler::Style;
 use ppl_dist::rng::Pcg32;
 use ppl_dist::special::log_sum_exp;
 use ppl_dist::{Distribution, Sample};
-use ppl_inference::{ImportanceSampler, ParamSpec, VariationalInference, ViConfig};
+use ppl_inference::{ImportanceSampler, ParamSpec, Posterior, VariationalInference, ViConfig};
 use ppl_models::{
     all_benchmarks, benchmark, handwritten, handwritten_is, handwritten_vi, InferenceKind,
 };
@@ -157,7 +157,7 @@ fn table2_row(name: &'static str, kind: InferenceKind, config: &Table2Config) ->
                 .run(&executor, &session.spec(), &mut rng)
                 .expect("coroutine IS");
             let coroutine_inference_time = gi_start.elapsed();
-            let coroutine_estimate = result.posterior_mean_of_sample(0).unwrap_or(f64::NAN);
+            let coroutine_estimate = result.mean_of_sample(0).unwrap_or(f64::NAN);
 
             // HI: handwritten importance sampling with the same particle
             // count and seed.
@@ -360,7 +360,7 @@ pub fn fig2_series(num_particles: usize, bins: usize, seed: u64) -> Vec<Fig2Poin
         })
         .expect("importance sampling");
     let posterior = posterior.as_importance().expect("IS result");
-    let hist = posterior.weighted_histogram(0.0, 7.0, bins, |p| Some(p.samples[0].as_f64()));
+    let hist = posterior.weighted_histogram(0.0, 7.0, bins, |d| Some(d.samples[0].as_f64()));
     let prior = Distribution::gamma(2.0, 1.0).expect("parameters");
     hist.centers()
         .iter()

@@ -29,13 +29,12 @@
 //! trajectory of the runtime is tracked from commit to commit.
 
 use crate::alloc_track;
-use guide_ppl::{Method, PosteriorResult, Query, Session};
+use guide_ppl::{Method, Posterior, Query, Session};
 use ppl_dist::rng::Pcg32;
 use ppl_dist::Sample;
 use ppl_inference::{
     ImportanceSampler, IndependenceMh, ParamSpec, VariationalInference, ViConfig, DEFAULT_BLOCK,
 };
-use ppl_runtime::{JointExecutor, JointScratch, JointSpec};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -93,50 +92,12 @@ pub struct ThroughputRow {
     /// Whether the two configurations produced bit-identical results
     /// (always expected to be `true`; recorded so CI can assert it).
     pub bit_identical: bool,
-    /// Heap allocations per particle in the *steady state* (a recycled
-    /// joint-execution loop after warm-up; the tentpole target is `0`).
-    /// `NaN` (serialised as `null`) when the counting allocator is not
-    /// installed in the measuring binary.
+    /// Heap allocations per particle of the single-threaded end-to-end
+    /// `ImportanceSampler::run` — scratch warm-up, block-plan compile and
+    /// the result columns included, i.e. the path users run.  `NaN`
+    /// (serialised as `null`) when the counting allocator is not installed
+    /// in the measuring binary.
     pub allocs_per_particle: f64,
-}
-
-/// Allocations per joint execution of a warmed, recycled steady-state
-/// block-mode loop (the number the allocation-free-hot-loop refactor
-/// drives to zero — and the vectorised executor must keep there), or
-/// `NaN` when the counting allocator is not installed.
-fn steady_state_allocs_per_particle(
-    executor: &JointExecutor,
-    spec: &JointSpec,
-    seed: u64,
-    block: usize,
-) -> f64 {
-    if !alloc_track::installed() {
-        return f64::NAN;
-    }
-    let block = block.max(1);
-    let master = Pcg32::seed_from_u64(seed);
-    let mut scratch = JointScratch::new();
-    let mut results = Vec::new();
-    let mut stream = 0u64;
-    let mut run_batch = |blocks: usize, stream: &mut u64| -> u64 {
-        let before = alloc_track::thread_allocations();
-        for _ in 0..blocks {
-            results.clear();
-            executor
-                .run_block_with_scratch(spec, &master, *stream, block, &mut scratch, &mut results)
-                .expect("joint execution");
-            *stream += block as u64;
-            for joint in results.drain(..) {
-                scratch.recycle(joint.latent);
-            }
-        }
-        alloc_track::thread_allocations() - before
-    };
-    // Warm-up grows every lane buffer (and compiles the block plan).
-    run_batch(4, &mut stream);
-    let measured_blocks = (1_000usize).div_ceil(block);
-    let allocs = run_batch(measured_blocks, &mut stream);
-    allocs as f64 / (measured_blocks * block) as f64
 }
 
 /// Wall time of one engine on its reference workload.
@@ -170,12 +131,14 @@ fn throughput_row(name: &'static str, config: &ThroughputConfig) -> ThroughputRo
     let spec = session.spec();
 
     let mut rng = Pcg32::seed_from_u64(config.seed);
+    let allocs_before = alloc_track::thread_allocations();
     let seq_start = Instant::now();
     let seq = ImportanceSampler::new(config.particles)
         .with_block(config.block)
         .run(&executor, &spec, &mut rng)
         .expect("sequential IS");
     let seq_seconds = seq_start.elapsed().as_secs_f64();
+    let seq_allocs = alloc_track::thread_allocations() - allocs_before;
 
     let mut rng = Pcg32::seed_from_u64(config.seed);
     let par_start = Instant::now();
@@ -185,13 +148,6 @@ fn throughput_row(name: &'static str, config: &ThroughputConfig) -> ThroughputRo
         .run(&executor, &spec, &mut rng)
         .expect("parallel IS");
     let par_seconds = par_start.elapsed().as_secs_f64();
-
-    let bit_identical =
-        seq.log_evidence.to_bits() == par.log_evidence.to_bits()
-            && seq.ess.to_bits() == par.ess.to_bits()
-            && seq.particles.iter().zip(&par.particles).all(|(a, b)| {
-                a.log_weight.to_bits() == b.log_weight.to_bits() && a.latent == b.latent
-            });
 
     ThroughputRow {
         name,
@@ -205,13 +161,12 @@ fn throughput_row(name: &'static str, config: &ThroughputConfig) -> ThroughputRo
         speedup: seq_seconds / par_seconds,
         ess: seq.ess,
         log_evidence: seq.log_evidence,
-        bit_identical,
-        allocs_per_particle: steady_state_allocs_per_particle(
-            &executor,
-            &spec,
-            config.seed,
-            config.block,
-        ),
+        bit_identical: posterior_fingerprint(&seq) == posterior_fingerprint(&par),
+        allocs_per_particle: if alloc_track::installed() {
+            seq_allocs as f64 / config.particles.max(1) as f64
+        } else {
+            f64::NAN
+        },
     }
 }
 
@@ -253,7 +208,7 @@ pub fn block_rows(config: &ThroughputConfig) -> Vec<BlockRow> {
         let b = ppl_models::benchmark(name).expect("registered benchmark");
         let executor = session.executor(b.observations.clone());
         let spec = session.spec();
-        let mut scalar: Option<ppl_inference::ImportanceResult> = None;
+        let mut scalar: Option<u64> = None;
         let mut scalar_seconds = f64::NAN;
         for block in BLOCK_SCAN {
             let mut rng = Pcg32::seed_from_u64(config.seed);
@@ -263,24 +218,11 @@ pub fn block_rows(config: &ThroughputConfig) -> Vec<BlockRow> {
                 .run(&executor, &spec, &mut rng)
                 .expect("single-thread IS");
             let wall_seconds = start.elapsed().as_secs_f64();
-            let bit_identical = match &scalar {
-                None => true,
-                Some(reference) => {
-                    reference.log_evidence.to_bits() == result.log_evidence.to_bits()
-                        && reference.ess.to_bits() == result.ess.to_bits()
-                        && reference
-                            .particles
-                            .iter()
-                            .zip(&result.particles)
-                            .all(|(a, b)| {
-                                a.log_weight.to_bits() == b.log_weight.to_bits()
-                                    && a.latent == b.latent
-                            })
-                }
-            };
+            let fingerprint = posterior_fingerprint(&result);
+            let bit_identical = scalar.map_or(true, |reference| reference == fingerprint);
             if scalar.is_none() {
                 scalar_seconds = wall_seconds;
-                scalar = Some(result);
+                scalar = Some(fingerprint);
             }
             out.push(BlockRow {
                 name,
@@ -396,10 +338,11 @@ pub struct ServingRow {
     pub bit_identical: bool,
 }
 
-/// FNV-1a over every number that defines a posterior — all three engine
-/// variants are covered, so the bit-identity comparison can never become
-/// vacuous if the serving scenario switches methods.
-fn posterior_fingerprint(result: &PosteriorResult) -> u64 {
+/// FNV-1a over every number a posterior exposes: each draw's weight,
+/// value and samples, the ESS, the evidence estimate and the labelled
+/// diagnostics — so a bit-identity comparison covers all three engines and
+/// cannot become vacuous if a scenario switches methods.
+fn posterior_fingerprint(posterior: &dyn Posterior) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     let mut word = |w: u64| {
         for byte in w.to_le_bytes() {
@@ -407,35 +350,18 @@ fn posterior_fingerprint(result: &PosteriorResult) -> u64 {
             h = h.wrapping_mul(0x0000_0100_0000_01b3);
         }
     };
-    match result {
-        PosteriorResult::Importance(r) => {
-            word(r.log_evidence.to_bits());
-            word(r.ess.to_bits());
-            for p in &r.particles {
-                word(p.log_weight.to_bits());
-                for s in &p.samples {
-                    word(s.as_f64().to_bits());
-                }
-            }
+    posterior.for_each_draw(&mut |draw| {
+        word(draw.weight.to_bits());
+        word(draw.value.map_or(u64::MAX, f64::to_bits));
+        word(draw.samples.len() as u64);
+        for s in draw.samples {
+            word(s.as_f64().to_bits());
         }
-        PosteriorResult::Mcmc(r) => {
-            word(r.acceptance_rate.to_bits());
-            for state in &r.chain {
-                word(state.log_model.to_bits());
-                for s in &state.samples {
-                    word(s.as_f64().to_bits());
-                }
-            }
-        }
-        PosteriorResult::Vi(r) => {
-            for p in &r.fit.params {
-                word(p.to_bits());
-            }
-            for e in &r.fit.elbo_trace {
-                word(e.to_bits());
-            }
-            word(r.draws.log_evidence.to_bits());
-        }
+    });
+    word(posterior.ess().to_bits());
+    word(posterior.log_evidence().map_or(u64::MAX, f64::to_bits));
+    for (_, value) in posterior.diagnostics() {
+        word(value.to_bits());
     }
     h
 }

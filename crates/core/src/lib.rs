@@ -561,7 +561,7 @@ mod tests {
         let is = s
             .importance_sampling(vec![Sample::Real(1.0)], 3_000, &mut rng)
             .unwrap();
-        assert!((is.posterior_mean_of_sample(0).unwrap() - 0.5).abs() < 0.15);
+        assert!((is.mean_of_sample(0).unwrap() - 0.5).abs() < 0.15);
         let mh = s
             .metropolis_hastings(vec![Sample::Real(1.0)], 2_000, 200, &mut rng)
             .unwrap();

@@ -4,17 +4,20 @@
 use crate::special::log_sum_exp;
 
 /// Self-normalises a slice of log-weights into probabilities that sum to
-/// one.
+/// one, returning them with the normaliser `ln Σᵢ exp(lwᵢ)` (the
+/// [`log_sum_exp`] of the slice), so an evidence estimate needs no second
+/// pass over the weights.
 ///
-/// Returns `None` when normalisation is impossible: the slice is empty or
-/// every weight is zero (`-∞`), as happens when no particle lands in the
-/// model's support.
-pub fn normalize_log_weights(log_weights: &[f64]) -> Option<Vec<f64>> {
+/// The probabilities are `None` when normalisation is impossible: the
+/// slice is empty or every weight is zero (`-∞`), as happens when no
+/// particle lands in the model's support.
+pub fn normalize_log_weights(log_weights: &[f64]) -> (Option<Vec<f64>>, f64) {
     let lse = log_sum_exp(log_weights);
     if lse == f64::NEG_INFINITY {
-        return None;
+        return (None, lse);
     }
-    Some(log_weights.iter().map(|&lw| (lw - lse).exp()).collect())
+    let normalized = log_weights.iter().map(|&lw| (lw - lse).exp()).collect();
+    (Some(normalized), lse)
 }
 
 /// Kish's effective sample size `1 / Σᵢ wᵢ²` of *normalised* weights.
@@ -109,13 +112,20 @@ mod tests {
 
     #[test]
     fn normalize_log_weights_is_a_softmax() {
-        let normalized = normalize_log_weights(&[0.0, 0.0, 2f64.ln()]).unwrap();
+        let log_weights = [0.0, 0.0, 2f64.ln()];
+        let (normalized, lse) = normalize_log_weights(&log_weights);
+        let normalized = normalized.unwrap();
         assert_eq!(normalized.len(), 3);
         assert!((normalized.iter().sum::<f64>() - 1.0).abs() < 1e-12);
         assert!((normalized[0] - 0.25).abs() < 1e-12);
         assert!((normalized[2] - 0.5).abs() < 1e-12);
+        // The normaliser is exactly the slice's log-sum-exp: ln 4.
+        assert_eq!(lse.to_bits(), log_sum_exp(&log_weights).to_bits());
+        assert!((lse - 4f64.ln()).abs() < 1e-12);
         // Shift-invariance: adding a huge constant changes nothing.
-        let shifted = normalize_log_weights(&[900.0, 900.0, 900.0 + 2f64.ln()]).unwrap();
+        let shifted = normalize_log_weights(&[900.0, 900.0, 900.0 + 2f64.ln()])
+            .0
+            .unwrap();
         for (a, b) in normalized.iter().zip(&shifted) {
             assert!((a - b).abs() < 1e-12);
         }
@@ -123,11 +133,15 @@ mod tests {
 
     #[test]
     fn normalize_log_weights_rejects_degenerate_input() {
-        assert!(normalize_log_weights(&[]).is_none());
-        assert!(normalize_log_weights(&[f64::NEG_INFINITY; 4]).is_none());
+        assert_eq!(normalize_log_weights(&[]), (None, f64::NEG_INFINITY));
+        assert_eq!(
+            normalize_log_weights(&[f64::NEG_INFINITY; 4]),
+            (None, f64::NEG_INFINITY)
+        );
         // A single zero-weight particle among finite ones is fine.
-        let w = normalize_log_weights(&[0.0, f64::NEG_INFINITY]).unwrap();
-        assert_eq!(w, vec![1.0, 0.0]);
+        let (w, lse) = normalize_log_weights(&[0.0, f64::NEG_INFINITY]);
+        assert_eq!(w, Some(vec![1.0, 0.0]));
+        assert_eq!(lse, 0.0);
     }
 
     #[test]

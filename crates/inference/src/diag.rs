@@ -42,14 +42,14 @@ pub struct Diagnostics {
 
 #[cfg(test)]
 mod tests {
-    use crate::importance::ImportanceResult;
+    use crate::importance::{ImportanceResult, ParticleColumns};
     use crate::mcmc::McmcResult;
     use crate::Posterior;
 
     #[test]
     fn importance_diag_carries_ess_and_evidence() {
         let result = ImportanceResult {
-            particles: Vec::new(),
+            particles: ParticleColumns::default(),
             normalized_weights: Some(Vec::new()),
             ess: 12.5,
             log_evidence: -3.25,

@@ -3,10 +3,13 @@
 //!
 //! Importance sampling draws `N` independent particles; VI draws a
 //! mini-batch of independent joint executions per iteration and re-scores
-//! each of them independently for the gradient.  Both are instances of the
-//! same shape — "run `count` independent jobs, each with its own RNG, and
-//! collect the results in index order" — which [`Engine::run_particles`]
-//! implements once, sequentially or over `std::thread` scoped threads.
+//! each of them independently for the gradient; batched serving answers
+//! independent queries.  All are instances of the same shape — "run
+//! `count` independent jobs, each with its own RNG, and collect the results
+//! in index order" — which [`Engine::run_particle_blocks_with`] implements
+//! once, sequentially or over `std::thread` scoped threads, writing into
+//! any ordered [`BlockSink`].  [`Engine::run_particles`] and
+//! [`Engine::run_particles_with`] are its block-size-one case.
 //!
 //! # Determinism
 //!
@@ -19,7 +22,34 @@
 //! regardless of which thread finished first.
 
 use ppl_dist::rng::Pcg32;
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// An ordered output buffer for the block driver.
+///
+/// Each worker fills one sink with the results of its contiguous run of
+/// blocks, in job-index order; the driver then concatenates the workers'
+/// sinks in block order.  `Vec<T>` is the plain one-result-per-job sink;
+/// columnar result stores implement it to receive particles without an
+/// intermediate per-particle value.
+pub trait BlockSink: Send {
+    /// An empty sink with room for `jobs` results.
+    fn with_capacity(jobs: usize) -> Self;
+
+    /// Moves every result of `later` (which covers the jobs directly after
+    /// this sink's) onto the end of this sink, leaving `later` empty.
+    fn append(&mut self, later: &mut Self);
+}
+
+impl<T: Send> BlockSink for Vec<T> {
+    fn with_capacity(jobs: usize) -> Self {
+        Vec::with_capacity(jobs)
+    }
+
+    fn append(&mut self, later: &mut Self) {
+        Vec::append(self, later);
+    }
+}
 
 /// A deterministic particle driver with a configurable thread count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -85,6 +115,9 @@ impl Engine {
     /// determinism guarantee is unchanged: outputs are bit-identical for
     /// every `num_threads`.
     ///
+    /// This is [`Engine::run_particle_blocks_with`] at block size one: job
+    /// `i` is the one-lane block starting at `i`, run on `master.split(i)`.
+    ///
     /// # Errors
     ///
     /// Returns the error of the lowest-index failing job, if any.
@@ -101,157 +134,105 @@ impl Engine {
         I: Fn() -> S + Sync,
         F: Fn(&mut S, usize, &mut Pcg32) -> Result<T, E> + Sync,
     {
-        let master = rng.clone();
-        rng.next_u64();
-        let run_one = |state: &mut S, i: usize| {
-            let mut sub = master.split(i as u64);
-            job(state, i, &mut sub)
-        };
-        if self.num_threads == 1 || count < 2 {
-            let mut state = init();
-            return (0..count).map(|i| run_one(&mut state, i)).collect();
-        }
-        let threads = self.num_threads.min(count);
-        let chunk = count.div_ceil(threads);
-        let mut slots: Vec<Option<Result<T, E>>> = Vec::with_capacity(count);
-        slots.resize_with(count, || None);
-        // Early-abort bookkeeping: once a job fails, jobs at *higher*
-        // indices cannot influence the result (the lowest-index error wins)
-        // and are skipped.  Jobs below the recorded index still run — one
-        // of them may fail with a lower index — so the winning error is
-        // exactly the sequential one.
-        let lowest_failed = AtomicUsize::new(usize::MAX);
-        std::thread::scope(|scope| {
-            for (chunk_idx, chunk_slots) in slots.chunks_mut(chunk).enumerate() {
-                let run_one = &run_one;
-                let init = &init;
-                let lowest_failed = &lowest_failed;
-                scope.spawn(move || {
-                    let mut state = init();
-                    for (j, slot) in chunk_slots.iter_mut().enumerate() {
-                        let i = chunk_idx * chunk + j;
-                        if i > lowest_failed.load(Ordering::Relaxed) {
-                            continue;
-                        }
-                        let result = run_one(&mut state, i);
-                        if result.is_err() {
-                            lowest_failed.fetch_min(i, Ordering::Relaxed);
-                        }
-                        *slot = Some(result);
-                    }
-                });
-            }
-        });
-        // Every slot below the lowest failing index is a filled `Ok` (skips
-        // only apply above it), so the scan returns the deterministic
-        // winner; with no failure, every slot is filled.
-        let mut out = Vec::with_capacity(count);
-        for slot in slots {
-            match slot.expect("job slots below the first error are always filled") {
-                Ok(v) => out.push(v),
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(out)
+        self.run_particle_blocks_with(
+            count,
+            1,
+            rng,
+            init,
+            |state, master, first, _, out: &mut Vec<T>| {
+                out.push(job(state, first as usize, &mut master.split(first))?);
+                Ok(())
+            },
+        )
     }
 
     /// Runs `count` independent jobs in contiguous *blocks* of up to
     /// `block_size`, collecting results in job-index order.
     ///
-    /// Where [`Engine::run_particles_with`] hands each job its own split
-    /// substream, this driver hands each **block** the master generator and
-    /// the index of its first job; the block callback must give lane `i` of
-    /// a block starting at `first` exactly `master.split(first + i)` — the
-    /// same substream discipline — and append one result per lane onto
-    /// `out` in lane order.  Results (and the reported error, which is the
-    /// one of the lowest-index failing block) are then **bit-identical** to
-    /// the per-job driver at every block size and thread count.
+    /// Each **block** receives the master generator and the index of its
+    /// first job; the block callback must give lane `i` of a block starting
+    /// at `first` exactly `master.split(first + i)` and append one result
+    /// per lane onto the sink `out` in lane order.  Results (and the
+    /// reported error, which is the one of the lowest-index failing block)
+    /// are then **bit-identical** at every block size and thread count.
     ///
     /// Blocks are the unit of scheduling: each worker thread owns a
-    /// contiguous range of blocks plus one scratch state built by `init`,
-    /// so block-local buffers warm up exactly like per-job scratch.
+    /// contiguous range of blocks, one scratch state built by `init`, and
+    /// one sink, so block-local buffers warm up exactly like per-job
+    /// scratch and the output is allocated once per worker, not per block.
     ///
     /// # Errors
     ///
     /// Returns the error of the lowest-index failing block, if any.
-    pub fn run_particle_blocks_with<S, T, E, I, F>(
+    pub fn run_particle_blocks_with<S, O, E, I, F>(
         &self,
         count: usize,
         block_size: usize,
         rng: &mut Pcg32,
         init: I,
         run_block: F,
-    ) -> Result<Vec<T>, E>
+    ) -> Result<O, E>
     where
-        T: Send,
+        O: BlockSink,
         E: Send,
         I: Fn() -> S + Sync,
-        F: Fn(&mut S, &Pcg32, u64, usize, &mut Vec<T>) -> Result<(), E> + Sync,
+        F: Fn(&mut S, &Pcg32, u64, usize, &mut O) -> Result<(), E> + Sync,
     {
         let master = rng.clone();
         rng.next_u64();
         let block_size = block_size.max(1);
         let num_blocks = count.div_ceil(block_size);
-        let len_of = |b: usize| block_size.min(count - b * block_size);
-        if self.num_threads == 1 || num_blocks < 2 {
-            let mut state = init();
-            let mut out = Vec::with_capacity(count);
-            for b in 0..num_blocks {
-                run_block(
-                    &mut state,
-                    &master,
-                    (b * block_size) as u64,
-                    len_of(b),
-                    &mut out,
-                )?;
-            }
-            return Ok(out);
-        }
-        let threads = self.num_threads.min(num_blocks);
-        let chunk_blocks = num_blocks.div_ceil(threads);
-        let mut slots: Vec<Option<Result<Vec<T>, E>>> = Vec::with_capacity(num_blocks);
-        slots.resize_with(num_blocks, || None);
-        // Same early-abort bookkeeping as `run_particles_with`, over block
-        // indices: only the lowest failing block's error can win.
+        // Early-abort bookkeeping: once a block fails, blocks at *higher*
+        // indices cannot influence the result (the lowest-index error
+        // wins) and are skipped.  Blocks below the recorded index still
+        // run — one of them may fail with a lower index — so the winning
+        // error is exactly the sequential one.
         let lowest_failed = AtomicUsize::new(usize::MAX);
-        std::thread::scope(|scope| {
-            for (chunk_idx, chunk_slots) in slots.chunks_mut(chunk_blocks).enumerate() {
-                let init = &init;
-                let run_block = &run_block;
-                let lowest_failed = &lowest_failed;
-                let master = &master;
-                scope.spawn(move || {
-                    let mut state = init();
-                    for (j, slot) in chunk_slots.iter_mut().enumerate() {
-                        let b = chunk_idx * chunk_blocks + j;
-                        if b > lowest_failed.load(Ordering::Relaxed) {
-                            continue;
-                        }
-                        let mut buf = Vec::with_capacity(len_of(b));
-                        let result = run_block(
-                            &mut state,
-                            master,
-                            (b * block_size) as u64,
-                            len_of(b),
-                            &mut buf,
-                        );
-                        *slot = Some(match result {
-                            Ok(()) => Ok(buf),
-                            Err(e) => {
-                                lowest_failed.fetch_min(b, Ordering::Relaxed);
-                                Err(e)
-                            }
-                        });
-                    }
-                });
+        let run_range = |blocks: Range<usize>| -> Result<O, E> {
+            let mut state = init();
+            let first_job = blocks.start * block_size;
+            let mut out = O::with_capacity((blocks.end * block_size).min(count) - first_job);
+            for b in blocks {
+                if b > lowest_failed.load(Ordering::Relaxed) {
+                    break;
+                }
+                let first = b * block_size;
+                let len = block_size.min(count - first);
+                if let Err(e) = run_block(&mut state, &master, first as u64, len, &mut out) {
+                    lowest_failed.fetch_min(b, Ordering::Relaxed);
+                    return Err(e);
+                }
             }
+            Ok(out)
+        };
+        let threads = self.num_threads.min(num_blocks);
+        if threads < 2 {
+            return run_range(0..num_blocks);
+        }
+        let per_worker = num_blocks.div_ceil(threads);
+        let parts: Vec<Result<O, E>> = std::thread::scope(|scope| {
+            let run_range = &run_range;
+            let workers: Vec<_> = (0..num_blocks)
+                .step_by(per_worker)
+                .map(|start| {
+                    let blocks = start..(start + per_worker).min(num_blocks);
+                    scope.spawn(move || run_range(blocks))
+                })
+                .collect();
+            workers
+                .into_iter()
+                .map(|w| {
+                    w.join()
+                        .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+                })
+                .collect()
         });
-        let mut out = Vec::with_capacity(count);
-        for slot in slots {
-            match slot.expect("block slots below the first error are always filled") {
-                Ok(mut buf) => out.append(&mut buf),
-                Err(e) => return Err(e),
-            }
+        // A worker that skipped blocks did so because a lower block failed,
+        // so the first error in worker order is the lowest-index one, and
+        // every sink before it is complete.
+        let mut out = O::with_capacity(count);
+        for part in parts {
+            out.append(&mut part?);
         }
         Ok(out)
     }
@@ -366,7 +347,7 @@ mod tests {
                         block,
                         &mut rng,
                         || (),
-                        |_, master, first, len, out| -> Result<(), ()> {
+                        |_, master, first, len, out: &mut Vec<_>| -> Result<(), ()> {
                             for i in 0..len {
                                 let idx = first as usize + i;
                                 let mut sub = master.split(first + i as u64);

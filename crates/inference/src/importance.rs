@@ -8,37 +8,111 @@
 //! covers the whole posterior support, so the weighted empirical
 //! distribution converges to the posterior.
 
-use crate::engine::Engine;
+use crate::engine::{BlockSink, Engine};
+use crate::posterior::{Draw, Posterior};
 use ppl_dist::rng::Pcg32;
-use ppl_dist::special::log_sum_exp;
 use ppl_dist::stats::{effective_sample_size, normalize_log_weights, Histogram};
 use ppl_dist::Sample;
 use ppl_runtime::{JointExecutor, JointResult, JointScratch, JointSpec, RuntimeError};
-use ppl_semantics::trace::Trace;
 
 /// Default lockstep block size for the particle loop: large enough to
 /// amortise op dispatch and fill the batched density kernels, small enough
 /// that the structure-of-arrays columns stay cache-resident.
 pub const DEFAULT_BLOCK: usize = 64;
 
-/// One weighted particle.
-#[derive(Debug, Clone)]
-pub struct Particle {
-    /// The latent guidance trace proposed by the guide.
-    pub latent: Trace,
-    /// The latent sample values in order (convenience view).
-    pub samples: Vec<Sample>,
-    /// `log (w_m / w_g)`.
-    pub log_weight: f64,
-    /// The model's return value, as a real number when scalar.
-    pub model_value: Option<f64>,
+/// Every particle of an importance-sampling run, stored column-wise.
+///
+/// Row `i` is particle `i`: its log-weight `log (w_m / w_g)`, the model's
+/// return value (as a real number when scalar), and its latent sample
+/// values in sampling order.  The samples of all particles sit back to
+/// back in one buffer, delimited by per-particle end offsets, so a run of
+/// `N` particles is four buffers rather than `N` allocations.  A
+/// path-dependent model gives particles different sample counts; the row
+/// length records which sites a particle visited.
+///
+/// Guidance traces (with branch selections and fold markers) are not
+/// retained: a single execution's trace comes from
+/// [`JointExecutor::run`] or [`JointExecutor::run_block_with_scratch`] on
+/// the same RNG substream, and MCMC keeps its own in
+/// [`ChainState`](crate::ChainState).
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct ParticleColumns {
+    log_weights: Vec<f64>,
+    model_values: Vec<Option<f64>>,
+    samples: Vec<Sample>,
+    sample_ends: Vec<usize>,
+}
+
+impl ParticleColumns {
+    /// Appends one particle.
+    pub(crate) fn push(
+        &mut self,
+        log_weight: f64,
+        model_value: Option<f64>,
+        samples: impl IntoIterator<Item = Sample>,
+    ) {
+        self.log_weights.push(log_weight);
+        self.model_values.push(model_value);
+        self.samples.extend(samples);
+        self.sample_ends.push(self.samples.len());
+    }
+
+    /// Number of particles.
+    pub fn len(&self) -> usize {
+        self.log_weights.len()
+    }
+
+    /// Whether the store holds no particles.
+    pub fn is_empty(&self) -> bool {
+        self.log_weights.is_empty()
+    }
+
+    /// Every particle's log-weight `log (w_m / w_g)`, in generation order.
+    pub fn log_weights(&self) -> &[f64] {
+        &self.log_weights
+    }
+
+    /// Every particle's scalar model return value, in generation order.
+    pub fn model_values(&self) -> &[Option<f64>] {
+        &self.model_values
+    }
+
+    /// The latent sample values of particle `index`, in sampling order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index >= self.len()`.
+    pub fn samples(&self, index: usize) -> &[Sample] {
+        let start = index.checked_sub(1).map_or(0, |i| self.sample_ends[i]);
+        &self.samples[start..self.sample_ends[index]]
+    }
+}
+
+impl BlockSink for ParticleColumns {
+    fn with_capacity(jobs: usize) -> Self {
+        ParticleColumns {
+            log_weights: Vec::with_capacity(jobs),
+            model_values: Vec::with_capacity(jobs),
+            samples: Vec::with_capacity(jobs),
+            sample_ends: Vec::with_capacity(jobs),
+        }
+    }
+
+    fn append(&mut self, later: &mut Self) {
+        let base = self.samples.len();
+        self.sample_ends
+            .extend(later.sample_ends.drain(..).map(|end| base + end));
+        self.log_weights.append(&mut later.log_weights);
+        self.model_values.append(&mut later.model_values);
+        self.samples.append(&mut later.samples);
+    }
 }
 
 /// The result of an importance-sampling run.
 #[derive(Debug, Clone)]
 pub struct ImportanceResult {
     /// All particles, in generation order.
-    pub particles: Vec<Particle>,
+    pub particles: ParticleColumns,
     /// Self-normalised weights (sum to one); `None` if every particle had
     /// zero weight.
     pub normalized_weights: Option<Vec<f64>>,
@@ -50,60 +124,18 @@ pub struct ImportanceResult {
 }
 
 impl ImportanceResult {
-    /// Weighted posterior expectation of a function of the latent samples.
-    ///
-    /// # Skip-and-renormalise contract
-    ///
-    /// Particles for which `f` returns `None` (e.g. asking for a sample
-    /// index that is absent on that control-flow path) are *skipped*, and
-    /// the result is the weighted mean over the remaining particles with
-    /// their weights renormalised to sum to one — i.e. the posterior
-    /// expectation of `f` **conditioned on the event that `f` is defined**.
-    /// Concretely: `Σ wᵢ·f(pᵢ) / Σ wᵢ`, both sums over the particles where
-    /// `f(pᵢ)` is `Some`.
-    ///
-    /// Returns `None` when no estimate exists at all:
-    /// * every particle had zero weight (`normalized_weights` is `None`), or
-    /// * `f` returned `None` for every particle, or only for particles
-    ///   carrying all of the weight (the conditioning event has zero
-    ///   posterior mass).
-    pub fn posterior_expectation<F>(&self, f: F) -> Option<f64>
-    where
-        F: Fn(&Particle) -> Option<f64>,
-    {
-        let weights = self.normalized_weights.as_ref()?;
-        crate::posterior::weighted_expectation(
-            self.particles.iter().zip(weights).map(|(p, &w)| (f(p), w)),
-        )
-    }
-
-    /// Posterior mean of the `index`-th latent sample.
-    pub fn posterior_mean_of_sample(&self, index: usize) -> Option<f64> {
-        self.posterior_expectation(|p| p.samples.get(index).map(|s| s.as_f64()))
-    }
-
-    /// Posterior probability of a predicate over particles.
-    pub fn posterior_probability<F>(&self, pred: F) -> Option<f64>
-    where
-        F: Fn(&Particle) -> bool,
-    {
-        self.posterior_expectation(|p| Some(if pred(p) { 1.0 } else { 0.0 }))
-    }
-
     /// A weighted histogram (density estimate) of a statistic of the
-    /// particles over `[lo, hi)` — the series plotted in Fig. 2.
+    /// draws over `[lo, hi)` — the series plotted in Fig. 2.
     pub fn weighted_histogram<F>(&self, lo: f64, hi: f64, bins: usize, f: F) -> Histogram
     where
-        F: Fn(&Particle) -> Option<f64>,
+        F: Fn(&Draw<'_>) -> Option<f64>,
     {
         let mut hist = Histogram::new(lo, hi, bins);
-        if let Some(weights) = &self.normalized_weights {
-            for (p, &w) in self.particles.iter().zip(weights) {
-                if let Some(v) = f(p) {
-                    hist.add(v, w);
-                }
+        self.for_each_draw(&mut |draw| {
+            if let Some(v) = f(&draw) {
+                hist.add(v, draw.weight);
             }
-        }
+        });
         hist
     }
 }
@@ -154,6 +186,11 @@ impl ImportanceSampler {
     /// (they indicate an incompatible model–guide pair that the type system
     /// would have rejected); zero-weight particles are kept.
     ///
+    /// Each lane's weight, model value and provider samples are copied into
+    /// the result's [`ParticleColumns`] and its trace buffer is recycled, so
+    /// a warmed run allocates a constant number of buffers however many
+    /// particles it draws.
+    ///
     /// # Errors
     ///
     /// Propagates [`RuntimeError`]s from the joint executor.
@@ -174,7 +211,7 @@ impl ImportanceSampler {
              master,
              first,
              len,
-             out|
+             out: &mut ParticleColumns|
              -> Result<(), RuntimeError> {
                 joints.clear();
                 // `run_block_with_scratch` polls the executor's cancel
@@ -183,24 +220,27 @@ impl ImportanceSampler {
                 // the engine's lowest-index early-abort then stops the
                 // remaining workers.
                 executor.run_block_with_scratch(spec, master, first, len, scratch, joints)?;
+                // Copy each lane into the columns and hand its trace buffer
+                // straight back, so the next block refills the pool instead
+                // of allocating.
                 for joint in joints.drain(..) {
-                    out.push(Particle {
-                        samples: joint.latent_samples(),
-                        log_weight: joint.log_importance_weight(),
-                        model_value: joint.model_value.as_f64(),
-                        latent: joint.latent,
-                    });
+                    out.push(
+                        joint.log_importance_weight(),
+                        joint.model_value.as_f64(),
+                        joint.latent.provider_sample_iter(),
+                    );
+                    scratch.recycle(joint.latent);
                 }
                 Ok(())
             },
         )?;
-        let log_weights: Vec<f64> = particles.iter().map(|p| p.log_weight).collect();
-        let normalized_weights = normalize_log_weights(&log_weights);
+        // One log-sum-exp serves both the normalisation and the evidence.
+        let (normalized_weights, lse) = normalize_log_weights(particles.log_weights());
         let ess = normalized_weights
             .as_ref()
             .map(|w| effective_sample_size(w))
             .unwrap_or(0.0);
-        let log_evidence = log_sum_exp(&log_weights) - (self.num_particles as f64).ln();
+        let log_evidence = lse - (self.num_particles as f64).ln();
         Ok(ImportanceResult {
             particles,
             normalized_weights,
@@ -214,6 +254,7 @@ impl ImportanceSampler {
 mod tests {
     use super::*;
     use ppl_dist::Distribution;
+    use ppl_runtime::LatentSource;
     use ppl_syntax::parse_program;
 
     /// Conjugate normal-normal model: x ~ N(0,1), obs ~ N(x, 1), observe 1.0.
@@ -241,6 +282,15 @@ mod tests {
         (model, guide)
     }
 
+    /// Equal rows, with the log-weights compared bit for bit.
+    fn assert_bit_identical(a: &ParticleColumns, b: &ParticleColumns) {
+        let bits = |c: &ParticleColumns| -> Vec<u64> {
+            c.log_weights().iter().map(|w| w.to_bits()).collect()
+        };
+        assert_eq!(bits(a), bits(b));
+        assert_eq!(a, b);
+    }
+
     #[test]
     fn normal_normal_posterior_mean_and_evidence() {
         let (model, guide) = normal_normal();
@@ -250,7 +300,7 @@ mod tests {
         let result = ImportanceSampler::new(40_000)
             .run(&exec, &spec, &mut rng)
             .unwrap();
-        let mean = result.posterior_mean_of_sample(0).unwrap();
+        let mean = result.mean_of_sample(0).unwrap();
         assert!((mean - 0.5).abs() < 0.03, "posterior mean {mean}");
         // Evidence p(y=1.0) = N(1.0; 0, sqrt(2)).
         let expected_log_evidence = Distribution::normal(0.0, 2.0f64.sqrt())
@@ -306,7 +356,7 @@ mod tests {
             .run(&exec, &spec, &mut rng)
             .unwrap();
         let p_else_posterior = result
-            .posterior_probability(|p| p.samples[0].as_f64() >= 2.0)
+            .probability(&|d| d.samples[0].as_f64() >= 2.0)
             .unwrap();
         // Prior probability of the else branch under Gamma(2,1): ~0.406.
         // Observing z = 0.8 (closer to m ∈ (0,1) than to -1) should raise it.
@@ -314,60 +364,66 @@ mod tests {
             p_else_posterior > 0.55,
             "posterior else-branch probability {p_else_posterior}"
         );
-        let hist = result.weighted_histogram(0.0, 8.0, 32, |p| Some(p.samples[0].as_f64()));
+        // The else branch samples one more site; its rows are one longer.
+        for i in 0..result.particles.len() {
+            let row = result.particles.samples(i);
+            assert_eq!(row.len(), if row[0].as_f64() < 2.0 { 1 } else { 2 });
+        }
+        let hist = result.weighted_histogram(0.0, 8.0, 32, |d| Some(d.samples[0].as_f64()));
         assert!(hist.total_weight() > 0.99);
     }
 
     #[test]
     fn posterior_expectation_skip_and_renormalise_contract() {
         // Hand-built result with known weights: w = [0.5, 0.3, 0.2].
-        let particle = |v: f64| Particle {
-            latent: Trace::new(),
-            samples: vec![Sample::Real(v)],
-            log_weight: 0.0,
-            model_value: Some(v),
+        let columns = |values: &[f64]| {
+            let mut particles = ParticleColumns::default();
+            for &v in values {
+                particles.push(0.0, Some(v), [Sample::Real(v)]);
+            }
+            particles
         };
         let result = ImportanceResult {
-            particles: vec![particle(1.0), particle(2.0), particle(3.0)],
+            particles: columns(&[1.0, 2.0, 3.0]),
             normalized_weights: Some(vec![0.5, 0.3, 0.2]),
             ess: 3.0,
             log_evidence: 0.0,
         };
         // All defined: the plain weighted mean.
-        let all = result.posterior_expectation(|p| p.model_value).unwrap();
+        let all = result.expectation(&|d| d.value).unwrap();
         assert!((all - (0.5 + 0.6 + 0.6)).abs() < 1e-12);
         // Mixed: the middle particle is skipped, and the remaining weights
         // are renormalised — E[f | f defined] = (0.5·1 + 0.2·3) / 0.7.
         let mixed = result
-            .posterior_expectation(|p| {
-                let v = p.model_value.unwrap();
+            .expectation(&|d| {
+                let v = d.value.unwrap();
                 (v != 2.0).then_some(v)
             })
             .unwrap();
         assert!((mixed - (0.5 + 0.6) / 0.7).abs() < 1e-12);
         // All `None`: no conditioning event to renormalise over.
-        assert!(result.posterior_expectation(|_| None::<f64>).is_none());
+        assert!(result.expectation(&|_| None).is_none());
         // `None` exactly on the particles carrying all the weight: same.
         let degenerate = ImportanceResult {
-            particles: vec![particle(1.0), particle(2.0)],
+            particles: columns(&[1.0, 2.0]),
             normalized_weights: Some(vec![1.0, 0.0]),
             ess: 1.0,
             log_evidence: 0.0,
         };
         assert!(degenerate
-            .posterior_expectation(|p| {
-                let v = p.model_value.unwrap();
+            .expectation(&|d| {
+                let v = d.value.unwrap();
                 (v != 1.0).then_some(v)
             })
             .is_none());
         // All-zero-weight runs expose no normalised weights at all.
         let zero = ImportanceResult {
-            particles: vec![particle(1.0)],
+            particles: columns(&[1.0]),
             normalized_weights: None,
             ess: 0.0,
             log_evidence: f64::NEG_INFINITY,
         };
-        assert!(zero.posterior_expectation(|p| p.model_value).is_none());
+        assert!(zero.expectation(&|d| d.value).is_none());
     }
 
     #[test]
@@ -387,10 +443,7 @@ mod tests {
         let (seq, par) = (&results[0], &results[1]);
         assert_eq!(seq.log_evidence.to_bits(), par.log_evidence.to_bits());
         assert_eq!(seq.ess.to_bits(), par.ess.to_bits());
-        for (a, b) in seq.particles.iter().zip(&par.particles) {
-            assert_eq!(a.log_weight.to_bits(), b.log_weight.to_bits());
-            assert_eq!(a.latent, b.latent);
-        }
+        assert_bit_identical(&seq.particles, &par.particles);
     }
 
     #[test]
@@ -403,6 +456,17 @@ mod tests {
             .with_block(1)
             .run(&exec, &spec, &mut rng)
             .unwrap();
+        // The columns hold exactly what particle `i`'s own joint execution
+        // on substream `i` produced.
+        let master = Pcg32::seed_from_u64(99);
+        for i in [0usize, 1, 500, 999] {
+            let joint = exec
+                .run(&spec, LatentSource::FromGuide, &mut master.split(i as u64))
+                .unwrap();
+            let lw = reference.particles.log_weights()[i];
+            assert_eq!(lw.to_bits(), joint.log_importance_weight().to_bits());
+            assert_eq!(reference.particles.samples(i), joint.latent_samples());
+        }
         for block in [7usize, 64, 256, 4096] {
             for threads in [1usize, 4] {
                 let mut rng = Pcg32::seed_from_u64(99);
@@ -416,11 +480,7 @@ mod tests {
                     r.log_evidence.to_bits(),
                     "block {block} threads {threads}"
                 );
-                for (a, b) in reference.particles.iter().zip(&r.particles) {
-                    assert_eq!(a.log_weight.to_bits(), b.log_weight.to_bits());
-                    assert_eq!(a.latent, b.latent);
-                    assert_eq!(a.samples, b.samples);
-                }
+                assert_bit_identical(&reference.particles, &r.particles);
             }
         }
     }
@@ -435,8 +495,25 @@ mod tests {
             .run(&exec, &spec, &mut rng)
             .unwrap();
         // Sample index 5 never exists.
-        assert!(result.posterior_mean_of_sample(5).is_none());
+        assert!(result.mean_of_sample(5).is_none());
         assert_eq!(result.particles.len(), 100);
-        assert!(result.posterior_probability(|_| true).unwrap() > 0.999);
+        assert!(result.probability(&|_| true).unwrap() > 0.999);
+    }
+
+    #[test]
+    fn columns_concatenate_rows_in_order() {
+        let mut head = ParticleColumns::default();
+        head.push(-1.0, Some(1.0), [Sample::Real(1.0)]);
+        head.push(-2.0, None, []);
+        let mut tail = ParticleColumns::default();
+        tail.push(-3.0, Some(3.0), [Sample::Real(3.0), Sample::Bool(true)]);
+        head.append(&mut tail);
+        assert!(tail.is_empty());
+        assert_eq!(head.len(), 3);
+        assert_eq!(head.log_weights(), &[-1.0, -2.0, -3.0]);
+        assert_eq!(head.model_values(), &[Some(1.0), None, Some(3.0)]);
+        assert_eq!(head.samples(0), &[Sample::Real(1.0)]);
+        assert!(head.samples(1).is_empty());
+        assert_eq!(head.samples(2), &[Sample::Real(3.0), Sample::Bool(true)]);
     }
 }

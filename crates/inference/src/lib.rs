@@ -22,7 +22,7 @@
 //! # Example
 //!
 //! ```
-//! use ppl_inference::{ImportanceSampler};
+//! use ppl_inference::{ImportanceSampler, Posterior};
 //! use ppl_runtime::{JointExecutor, JointSpec};
 //! use ppl_dist::{Sample, rng::Pcg32};
 //! use ppl_syntax::parse_program;
@@ -44,7 +44,7 @@
 //! let mut rng = Pcg32::seed_from_u64(1);
 //! let result = ImportanceSampler::new(2_000)
 //!     .run(&exec, &JointSpec::new("Model", "Guide"), &mut rng)?;
-//! let mean = result.posterior_mean_of_sample(0).unwrap();
+//! let mean = result.mean_of_sample(0).unwrap();
 //! assert!((mean - 0.5).abs() < 0.2);
 //! # Ok::<(), ppl_runtime::RuntimeError>(())
 //! ```
@@ -58,8 +58,8 @@ pub mod posterior;
 pub mod vi;
 
 pub use diag::Diagnostics;
-pub use engine::Engine;
-pub use importance::{ImportanceResult, ImportanceSampler, Particle, DEFAULT_BLOCK};
+pub use engine::{BlockSink, Engine};
+pub use importance::{ImportanceResult, ImportanceSampler, ParticleColumns, DEFAULT_BLOCK};
 pub use mcmc::{ChainState, GuidedMh, IndependenceMh, McmcResult};
 pub use posterior::{Draw, Posterior, PosteriorSummary, Quantiles, ViPosterior};
 pub use vi::{ParamSpec, VariationalInference, ViConfig, ViResult};

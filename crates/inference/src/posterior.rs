@@ -19,12 +19,10 @@
 //!   with IS and MCMC behind the trait.
 //!
 //! All expectation-style methods follow the **skip-and-renormalise
-//! contract** documented on
-//! [`ImportanceResult::posterior_expectation`](crate::ImportanceResult::posterior_expectation):
-//! draws where the statistic is undefined are skipped and the remaining
-//! weights renormalised, i.e. the result is the expectation *conditioned
-//! on the statistic being defined*; `None` means no estimate exists at
-//! all.
+//! contract** documented on [`Posterior::expectation`]: draws where the
+//! statistic is undefined are skipped and the remaining weights
+//! renormalised, i.e. the result is the expectation *conditioned on the
+//! statistic being defined*; `None` means no estimate exists at all.
 
 use crate::importance::ImportanceResult;
 use crate::mcmc::McmcResult;
@@ -223,8 +221,23 @@ pub trait Posterior {
         }
     }
 
-    /// Posterior expectation of a statistic of the draws
-    /// (skip-and-renormalise over draws where it is `None`).
+    /// Weighted posterior expectation of a statistic of the draws.
+    ///
+    /// # Skip-and-renormalise contract
+    ///
+    /// Draws for which `f` returns `None` (e.g. asking for a sample index
+    /// that is absent on that control-flow path) are *skipped*, and the
+    /// result is the weighted mean over the remaining draws with their
+    /// weights renormalised to sum to one — i.e. the posterior expectation
+    /// of `f` **conditioned on the event that `f` is defined**.
+    /// Concretely: `Σ wᵢ·f(dᵢ) / Σ wᵢ`, both sums over the draws where
+    /// `f(dᵢ)` is `Some`.
+    ///
+    /// Returns `None` when no estimate exists at all:
+    /// * the run exposes no draws (e.g. every IS particle had zero
+    ///   weight), or
+    /// * `f` returned `None` for every draw, or only for draws carrying all
+    ///   of the weight (the conditioning event has zero posterior mass).
     fn expectation(&self, f: &dyn Fn(&Draw<'_>) -> Option<f64>) -> Option<f64> {
         let mut acc = 0.0;
         let mut total = 0.0;
@@ -289,11 +302,12 @@ impl Posterior for ImportanceResult {
         // All-zero-weight runs expose no draws (there is no posterior
         // estimate to take), matching `normalized_weights`'s contract.
         if let Some(weights) = &self.normalized_weights {
-            for (p, &w) in self.particles.iter().zip(weights) {
+            let values = self.particles.model_values();
+            for (i, (&weight, &value)) in weights.iter().zip(values).enumerate() {
                 f(Draw {
-                    samples: &p.samples,
-                    weight: w,
-                    value: p.model_value,
+                    samples: self.particles.samples(i),
+                    weight,
+                    value,
                 });
             }
         }
@@ -416,21 +430,17 @@ impl Posterior for ViPosterior {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::importance::Particle;
+    use crate::importance::ParticleColumns;
     use crate::mcmc::ChainState;
     use ppl_semantics::trace::Trace;
 
     fn is_result(values_weights: &[(f64, f64)]) -> ImportanceResult {
+        let mut particles = ParticleColumns::default();
+        for &(v, _) in values_weights {
+            particles.push(0.0, Some(v), [Sample::Real(v)]);
+        }
         ImportanceResult {
-            particles: values_weights
-                .iter()
-                .map(|&(v, _)| Particle {
-                    latent: Trace::new(),
-                    samples: vec![Sample::Real(v)],
-                    log_weight: 0.0,
-                    model_value: Some(v),
-                })
-                .collect(),
+            particles,
             normalized_weights: Some(values_weights.iter().map(|&(_, w)| w).collect()),
             ess: values_weights.len() as f64,
             log_evidence: -1.0,
@@ -441,8 +451,7 @@ mod tests {
     fn trait_expectation_matches_inherent_is_contract() {
         let r = is_result(&[(1.0, 0.5), (2.0, 0.3), (3.0, 0.2)]);
         let via_trait = Posterior::mean_of_sample(&r, 0).unwrap();
-        let inherent = r.posterior_mean_of_sample(0).unwrap();
-        assert!((via_trait - inherent).abs() < 1e-15);
+        assert!((via_trait - (0.5 + 0.6 + 0.6)).abs() < 1e-15);
         // Skip-and-renormalise: drop the middle draw.
         let cond = r
             .expectation(&|d| {
@@ -460,7 +469,7 @@ mod tests {
     #[test]
     fn zero_weight_runs_expose_no_draws() {
         let r = ImportanceResult {
-            particles: vec![],
+            particles: ParticleColumns::default(),
             normalized_weights: None,
             ess: 0.0,
             log_evidence: f64::NEG_INFINITY,
@@ -472,13 +481,10 @@ mod tests {
         assert!(r.summarize_sample(0).is_none());
         // `num_draws` agrees with `for_each_draw`, even when particles
         // were retained but carry no weight.
+        let mut particles = ParticleColumns::default();
+        particles.push(f64::NEG_INFINITY, Some(1.0), [Sample::Real(1.0)]);
         let degenerate = ImportanceResult {
-            particles: vec![Particle {
-                latent: Trace::new(),
-                samples: vec![Sample::Real(1.0)],
-                log_weight: f64::NEG_INFINITY,
-                model_value: Some(1.0),
-            }],
+            particles,
             normalized_weights: None,
             ess: 0.0,
             log_evidence: f64::NEG_INFINITY,

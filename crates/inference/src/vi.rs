@@ -161,7 +161,7 @@ impl VariationalInference {
              master,
              first,
              len,
-             out|
+             out: &mut Vec<f64>|
              -> Result<(), RuntimeError> {
                 joints.clear();
                 executor.run_block_with_scratch(&run_spec, master, first, len, scratch, joints)?;
@@ -225,7 +225,7 @@ impl VariationalInference {
                  master,
                  first,
                  len,
-                 out|
+                 out: &mut Vec<(f64, ppl_semantics::trace::Trace)>|
                  -> Result<(), RuntimeError> {
                     joints.clear();
                     executor

@@ -27,7 +27,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Fig. 2: prior vs posterior density of @x on a grid, via the unified
     // summary (its histogram spans the posterior draws).
     let is = posterior.as_importance().expect("importance posterior");
-    let hist = is.weighted_histogram(0.0, 7.0, 28, |p| Some(p.samples[0].as_f64()));
+    let hist = is.weighted_histogram(0.0, 7.0, 28, |d| Some(d.samples[0].as_f64()));
     let prior = Distribution::gamma(2.0, 1.0)?;
     println!("\n  x      prior   posterior");
     for (x, dens) in hist.centers().iter().zip(hist.densities()) {

@@ -16,6 +16,14 @@
 //! channel-parking state at an arbitrary point mid-run) can leak
 //! allocations into a measured window.
 //!
+//! End to end, a whole [`ImportanceSampler::run`] must allocate a constant
+//! number of buffers however many particles it draws: its result is a
+//! handful of columns, and every lane's trace buffer is recycled into the
+//! next block.  The budget compares a 20 000-particle run with a
+//! 2 000-particle run on the same model, so per-run set-up (scratch pools,
+//! the block plan) cancels out and any per-particle allocation shows up
+//! 18 000 times over.
+//!
 //! The measured loops also enter a flight-recorder [`Span`] per
 //! iteration, exactly as the serving path does around inference.  With
 //! no active trace on the thread (the production default for every
@@ -23,6 +31,7 @@
 //! read and, what this suite proves, no allocation — so leaving tracing
 //! compiled into the hot path costs nothing when it is off.
 
+use guide_ppl::inference::ImportanceSampler;
 use guide_ppl::runtime::{JointExecutor, JointScratch, JointSpec, LatentSource};
 use guide_ppl::Session;
 use ppl_bench::alloc_track::{thread_allocations, CountingAlloc};
@@ -174,6 +183,46 @@ fn ex1_block_steady_state_is_allocation_free() {
 #[test]
 fn gmm_block_steady_state_is_allocation_free() {
     assert_zero_steady_state_block_allocations("gmm", 64);
+}
+
+/// Allocations this thread makes in one single-threaded, block-64
+/// importance-sampling run of `particles` particles, result included.
+fn importance_run_allocations(executor: &JointExecutor, spec: &JointSpec, particles: usize) -> u64 {
+    let mut rng = Pcg32::seed_from_u64(0x15_A110C);
+    let sampler = ImportanceSampler::new(particles)
+        .with_threads(1)
+        .with_block(64);
+    let before = thread_allocations();
+    let result = sampler
+        .run(executor, spec, &mut rng)
+        .expect("importance sampling");
+    let allocs = thread_allocations() - before;
+    assert_eq!(result.particles.len(), particles);
+    allocs
+}
+
+fn assert_importance_run_allocations_are_per_run(name: &str) {
+    let (executor, spec) = harness(name);
+    // Fault in any lazily initialised runtime state outside the windows.
+    importance_run_allocations(&executor, &spec, 100);
+    let small = importance_run_allocations(&executor, &spec, 2_000);
+    let large = importance_run_allocations(&executor, &spec, 20_000);
+    let extra = large.saturating_sub(small);
+    assert!(
+        extra <= 16,
+        "{name}: 18 000 extra particles cost {extra} extra allocations \
+         ({small} for 2 000 particles, {large} for 20 000)"
+    );
+}
+
+#[test]
+fn ex1_importance_run_allocates_per_run_not_per_particle() {
+    assert_importance_run_allocations_are_per_run("ex-1");
+}
+
+#[test]
+fn gmm_importance_run_allocates_per_run_not_per_particle() {
+    assert_importance_run_allocations_are_per_run("gmm");
 }
 
 #[test]

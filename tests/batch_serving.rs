@@ -5,11 +5,13 @@
 //! into results.
 
 use guide_ppl::inference::{ParamSpec, ViConfig};
-use guide_ppl::{Method, Posterior, PosteriorResult, Query, Session, SessionError};
+use guide_ppl::{Method, Posterior, Query, Session, SessionError};
 use ppl_dist::Sample;
 
-/// FNV-1a over the bit patterns of every number that defines a posterior.
-fn fingerprint(result: &PosteriorResult) -> u64 {
+/// FNV-1a over every number a posterior exposes: each draw's weight,
+/// value and samples, the ESS, the evidence estimate and the labelled
+/// diagnostics.
+fn fingerprint<P: Posterior + ?Sized>(posterior: &P) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     let mut word = |w: u64| {
         for byte in w.to_le_bytes() {
@@ -17,35 +19,18 @@ fn fingerprint(result: &PosteriorResult) -> u64 {
             h = h.wrapping_mul(0x0000_0100_0000_01b3);
         }
     };
-    match result {
-        PosteriorResult::Importance(r) => {
-            word(r.log_evidence.to_bits());
-            word(r.ess.to_bits());
-            for p in &r.particles {
-                word(p.log_weight.to_bits());
-                for s in &p.samples {
-                    word(s.as_f64().to_bits());
-                }
-            }
+    posterior.for_each_draw(&mut |draw| {
+        word(draw.weight.to_bits());
+        word(draw.value.map_or(u64::MAX, f64::to_bits));
+        word(draw.samples.len() as u64);
+        for s in draw.samples {
+            word(s.as_f64().to_bits());
         }
-        PosteriorResult::Mcmc(r) => {
-            word(r.acceptance_rate.to_bits());
-            for state in &r.chain {
-                word(state.log_model.to_bits());
-                for s in &state.samples {
-                    word(s.as_f64().to_bits());
-                }
-            }
-        }
-        PosteriorResult::Vi(r) => {
-            for p in &r.fit.params {
-                word(p.to_bits());
-            }
-            for e in &r.fit.elbo_trace {
-                word(e.to_bits());
-            }
-            word(r.draws.log_evidence.to_bits());
-        }
+    });
+    word(posterior.ess().to_bits());
+    word(posterior.log_evidence().map_or(u64::MAX, f64::to_bits));
+    for (_, value) in posterior.diagnostics() {
+        word(value.to_bits());
     }
     h
 }

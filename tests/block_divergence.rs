@@ -26,8 +26,8 @@ const THREADS: [usize; 2] = [1, 4];
 const PARTICLES: usize = 500;
 
 /// Runs importance sampling at every block size × thread count and asserts
-/// the particles, weights, and evidence are bit-identical to the scalar
-/// single-thread reference.
+/// the particles' weights, samples and model values, and the evidence, are
+/// bit-identical to the scalar single-thread reference.
 fn assert_block_invariant(session: &Session, observations: Vec<Sample>, seed: u64) {
     let run = |block: usize, threads: usize| {
         session
@@ -59,22 +59,24 @@ fn assert_block_invariant(session: &Session, observations: Vec<Sample>, seed: u6
                 reference.ess.to_bits(),
                 "ess drifted at block {block}, {threads} threads"
             );
-            for (i, (r, s)) in result
-                .particles
-                .iter()
-                .zip(&reference.particles)
-                .enumerate()
-            {
+            let (r, s) = (&result.particles, &reference.particles);
+            for i in 0..PARTICLES {
                 assert_eq!(
-                    r.log_weight.to_bits(),
-                    s.log_weight.to_bits(),
+                    r.log_weights()[i].to_bits(),
+                    s.log_weights()[i].to_bits(),
                     "particle {i} log-weight drifted at block {block}, {threads} threads"
                 );
                 assert_eq!(
-                    r.latent, s.latent,
-                    "particle {i} trace drifted at block {block}, {threads} threads"
+                    r.samples(i),
+                    s.samples(i),
+                    "particle {i} samples drifted at block {block}, {threads} threads"
                 );
             }
+            assert_eq!(
+                r.model_values(),
+                s.model_values(),
+                "model values drifted at block {block}, {threads} threads"
+            );
         }
     }
 }

@@ -23,7 +23,7 @@
 //! and paste the printed rows over `GOLDENS` below.
 
 use guide_ppl::inference::ImportanceSampler;
-use guide_ppl::runtime::{JointExecutor, JointSpec, LatentSource};
+use guide_ppl::runtime::{JointExecutor, JointScratch, JointSpec, LatentSource};
 use guide_ppl::semantics::{Message, Trace, Value};
 use ppl_dist::rng::Pcg32;
 use ppl_models::{all_benchmarks, Benchmark};
@@ -147,10 +147,36 @@ fn compute_is_fp_block(b: &Benchmark, num_threads: usize, block: usize) -> u64 {
         .with_block(block)
         .run(&executor, &spec, &mut rng)
         .unwrap_or_else(|e| panic!("{}: {e}", b.name));
+    // The result keeps weights and samples, not traces: take particle
+    // `i`'s trace from the block executor on the engine's substream
+    // `master.split(i)`, and check the result against it bit for bit.
+    let master = Pcg32::seed_from_u64(SEED);
+    let mut scratch = JointScratch::new();
+    let mut lanes = Vec::with_capacity(PARTICLES);
+    for first in (0..PARTICLES).step_by(block) {
+        let len = block.min(PARTICLES - first);
+        executor
+            .run_block_with_scratch(&spec, &master, first as u64, len, &mut scratch, &mut lanes)
+            .unwrap_or_else(|e| panic!("{}: {e}", b.name));
+    }
+    assert_eq!(result.particles.len(), lanes.len(), "{}", b.name);
     let mut fp = Fingerprint::new();
-    for p in &result.particles {
-        fp.trace(&p.latent);
-        fp.f64(p.log_weight);
+    for (i, lane) in lanes.iter().enumerate() {
+        let log_weight = result.particles.log_weights()[i];
+        assert_eq!(
+            log_weight.to_bits(),
+            lane.log_importance_weight().to_bits(),
+            "{}: particle {i} log-weight differs from its lane",
+            b.name
+        );
+        assert_eq!(
+            result.particles.samples(i),
+            lane.latent_samples(),
+            "{}: particle {i} samples differ from its lane",
+            b.name
+        );
+        fp.trace(&lane.latent);
+        fp.f64(log_weight);
     }
     fp.f64(result.log_evidence);
     fp.f64(result.ess);
@@ -187,14 +213,26 @@ fn thread_count_never_changes_results() {
             b.name
         );
         assert_eq!(seq.ess.to_bits(), par.ess.to_bits(), "{}", b.name);
-        for (i, (a, c)) in seq.particles.iter().zip(&par.particles).enumerate() {
+        assert_eq!(seq.particles.len(), par.particles.len(), "{}", b.name);
+        for (i, (a, c)) in seq
+            .particles
+            .log_weights()
+            .iter()
+            .zip(par.particles.log_weights())
+            .enumerate()
+        {
             assert_eq!(
-                a.log_weight.to_bits(),
-                c.log_weight.to_bits(),
+                a.to_bits(),
+                c.to_bits(),
                 "{}: particle {i} log-weight drifted",
                 b.name
             );
-            assert_eq!(a.latent, c.latent, "{}: particle {i} trace drifted", b.name);
+            assert_eq!(
+                seq.particles.samples(i),
+                par.particles.samples(i),
+                "{}: particle {i} samples drifted",
+                b.name
+            );
         }
     }
 }
