@@ -7,14 +7,16 @@
 //! interpreter dispatch cost per particle.  This module amortises that cost
 //! over a whole *block* of particles:
 //!
-//! 1. **Plan compilation.**  The first block run symbolically co-executes
-//!    the model and guide through the exact arbitration logic of
-//!    `drive_joint`, but over *symbolic* values (compile-time constants or
-//!    lane *slots*).  The result is a [`BlockPlan`]: a tree of straight-line
-//!    [`Op`]s (draw, score, per-lane eval, fork) that replays the joint
-//!    execution without any coroutine machinery.  Branch predicates that
-//!    depend on lane values become [`Op::Fork`] nodes; everything both arms
-//!    share upstream is emitted once.
+//! 1. **Lazy plan compilation.**  Blocks symbolically co-execute the model
+//!    and guide through the exact arbitration logic of `drive_joint`, but
+//!    over *symbolic* values (compile-time constants or lane *slots*), and
+//!    emit straight-line [`Op`]s (draw, score, per-lane eval) that replay
+//!    the joint execution without any coroutine machinery.  A branch whose
+//!    predicate depends on lane values ends the arm in an [`Op::Fork`]
+//!    whose two arms stay *pending* stubs, holding the symbolic joint
+//!    state, until a block first routes lanes into them — the way a tracing
+//!    JIT extends its traces.  A linearly recursive model (geometric,
+//!    ptrace, marsaglia) so plans one arm pair per depth its lanes reach.
 //! 2. **Structure-of-arrays lanes.**  Each sample site gets one slot — a
 //!    `Vec<f64>` column holding that site's value for every lane.  Constant
 //!    distributions draw and score the whole column through the batched
@@ -24,12 +26,14 @@
 //! 3. **Divergence.**  At a fork the active lane set splits, each arm runs
 //!    with its own sub-set (falling back to per-lane evaluation since the
 //!    column is no longer dense), and execution re-converges after the fork.
-//! 4. **Fallback.**  Programs the planner cannot vectorise (unbounded
-//!    recursion, closures crossing sites, opaque per-lane distributions)
-//!    compile to a cached failure, and the block runs each lane through the
-//!    scalar coroutine path with the *same* per-lane RNG substream —
-//!    results are bit-identical either way, which the determinism goldens
-//!    enforce.
+//! 4. **Fallback.**  A [`BlockPlan`] holds at most [`ARM_BUDGET`] planned
+//!    arms; tree recursion (ex-2, gp-dsl) exhausts it within a few blocks.
+//!    That, or any other shape the planner cannot vectorise (closures
+//!    crossing sites, opaque per-lane distributions, the fuel and slot
+//!    guards), caches a scalar verdict ([`JointScratch::plan_verdict`]):
+//!    this block and every later one run each lane through the scalar
+//!    coroutine path with the *same* per-lane RNG substream — results are
+//!    bit-identical either way, which the determinism goldens enforce.
 //!
 //! RNG discipline: lane `i` of a block starting at global stream `s`
 //! consumes exactly `master.split(s + i)`, the same substream the scalar
@@ -48,26 +52,31 @@ use ppl_semantics::value::{Bindings, Value, ValueStack};
 use ppl_syntax::ast::{ChannelName, Dir, DistExpr, Expr, Ident};
 use std::sync::Arc;
 
-/// Symbolic execution step budget per plan compilation: bounds the total
-/// number of command steps across every path of the fork tree.
+/// Symbolic execution step budget per plan: bounds the total number of
+/// command steps across every arm the plan ever compiles.
 const FUEL: u32 = 50_000;
-/// Maximum fork nesting depth before the planner gives up.
-const MAX_DEPTH: usize = 16;
-/// Maximum number of fork-tree leaves (paths) before the planner gives up.
-const MAX_LEAVES: u32 = 64;
+/// Maximum number of planned arms (the entry prefix included) per plan.
+/// Also bounds the fork nesting, and so the runner's recursion depth.
+const ARM_BUDGET: usize = 64;
 /// Maximum number of lane slots (sample sites + per-lane evals) per plan.
 const MAX_SLOTS: usize = 512;
 
 /// The planner cannot vectorise this program shape; the block must take the
 /// scalar path (cached — every subsequent block skips straight to scalar).
+/// The reason is what [`JointScratch::plan_verdict`] reports.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Bail(#[allow(dead_code)] &'static str);
+pub(crate) struct Bail(&'static str);
 
-/// The plan compiled, but this block hit something only the scalar
-/// interpreter can reproduce exactly (a per-lane eval error, an
-/// unencodable value); rerun every lane through the scalar path.
+/// Why a vectorised block must rerun every lane through the scalar path.
 #[derive(Debug, Clone, Copy)]
-struct RunBail;
+enum RunBail {
+    /// This block hit something only the scalar interpreter can reproduce
+    /// exactly (a per-lane eval error, an unencodable value, a failing
+    /// path); the plan stays valid for later blocks.
+    Block,
+    /// Planning an arm the lanes reached failed: cache the scalar verdict.
+    Plan(Bail),
+}
 
 /// Outcome of symbolic evaluation: either a scalar-path-only shape
 /// ([`Bail`]) or a path that deterministically errors at runtime (`Fails`,
@@ -164,7 +173,7 @@ fn decode_slot(carrier: Carrier, x: f64, tag: u8) -> Result<Value, RunBail> {
             TAG_BOOL => Value::Bool(x == 1.0),
             TAG_REAL => Value::Real(x),
             TAG_NAT => Value::Nat(x.to_bits()),
-            _ => return Err(RunBail),
+            _ => return Err(RunBail::Block),
         },
     })
 }
@@ -243,14 +252,15 @@ enum Op {
     DirConst { provider: bool, selection: bool },
     /// Evaluate `pred` per lane, record the direction message (when the
     /// branch is on the latent channel), and split the lane set between the
-    /// two arms.
+    /// two arms.  Always the last op of its arm.
     Fork {
         pred: Expr,
         binds: Vec<(Ident, SymValue)>,
         /// `Some(provider)` when a `DirP`/`DirC` message must be recorded.
         msg: Option<bool>,
-        then_ops: Vec<Op>,
-        else_ops: Vec<Op>,
+        /// Indices of the two arms in [`BlockPlan::arms`].
+        then_arm: usize,
+        else_arm: usize,
     },
     /// This path deterministically errors; rerun the block through the
     /// scalar interpreter to reproduce the exact error.
@@ -263,41 +273,70 @@ enum Op {
     },
 }
 
-/// A compiled block plan: the op tree plus the carrier class of each slot.
+/// One arm of a plan: the straight-line ops from a fork (or the spawn) to
+/// the next fork, finish or fail.
+#[derive(Debug)]
+enum Arm {
+    /// No lane has reached this arm yet.
+    Pending(PendingArm),
+    /// Its ops, shared with the runs in flight while the plan grows.
+    Planned(Arc<[Op]>),
+}
+
+/// An arm no lane has reached yet: where its path starts.
+#[derive(Debug)]
+enum PendingArm {
+    /// Arm 0: both coroutines at their spawn.
+    Entry,
+    /// One side of a fork: the symbolic joint state at the fork, and the
+    /// selection to resume it with.
+    Fork {
+        st: Box<SymJoint>,
+        sel: bool,
+        kind: ForkKind,
+    },
+}
+
+/// A block plan: an arena of arms plus the carrier class of each slot.
+/// Arm 0 is the entry prefix; every [`Op::Fork`] names its arms by index,
+/// so extending the plan is an index write.
 #[derive(Debug)]
 pub(crate) struct BlockPlan {
-    ops: Vec<Op>,
+    arms: Vec<Arm>,
     carriers: Vec<Carrier>,
+    /// Planned arms so far, at most [`ARM_BUDGET`].
+    planned: usize,
+    /// Symbolic execution steps left for every arm still to be planned.
+    fuel: u32,
 }
 
 // ---------------------------------------------------------------------------
 // Symbolic coroutine (plan compiler)
 // ---------------------------------------------------------------------------
 
-/// Plan-compilation context: slot table, budgets, and a scratch stack for
-/// constant folding.
+/// Plan-compilation context: the plan being extended (slot table, arm
+/// arena, fuel) and a scratch stack for constant folding.
 struct PlanCx<'e> {
     exec: &'e JointExecutor,
     spec: &'e JointSpec,
-    carriers: Vec<Carrier>,
-    fuel: u32,
-    leaves: u32,
+    plan: &'e mut BlockPlan,
     scratch: ValueStack,
 }
 
 impl PlanCx<'_> {
     fn new_slot(&mut self, carrier: Carrier) -> Result<usize, Bail> {
-        if self.carriers.len() >= MAX_SLOTS {
+        let carriers = &mut self.plan.carriers;
+        if carriers.len() >= MAX_SLOTS {
             return Err(Bail("slot budget exceeded"));
         }
-        self.carriers.push(carrier);
-        Ok(self.carriers.len() - 1)
+        carriers.push(carrier);
+        Ok(carriers.len() - 1)
     }
 
     fn burn_fuel(&mut self) -> Result<(), Bail> {
-        match self.fuel.checked_sub(1) {
+        match self.plan.fuel.checked_sub(1) {
             Some(f) => {
-                self.fuel = f;
+                self.plan.fuel = f;
                 Ok(())
             }
             None => Err(Bail("symbolic execution fuel exhausted")),
@@ -307,7 +346,7 @@ impl PlanCx<'_> {
 
 /// A symbolic mirror of [`crate::coroutine::Coroutine`]: same frames, same
 /// scope bases, same control states — but over [`SymValue`]s.
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 struct SymCo {
     prog: Arc<CompiledProgram>,
     /// `(bind node, entry depth, saved base)` continuation frames.
@@ -318,7 +357,7 @@ struct SymCo {
     control: SymControl,
 }
 
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 enum SymControl {
     Run(CmdId),
     Return(SymValue),
@@ -326,7 +365,7 @@ enum SymControl {
     Finished,
 }
 
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 enum SymPending {
     Sample,
     BranchRecv {
@@ -343,7 +382,7 @@ enum SymPending {
 }
 
 /// A plan-time branch selection: constant, or lane-dependent.
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 enum SymBool {
     Const(bool),
     Lane {
@@ -353,7 +392,7 @@ enum SymBool {
 }
 
 /// A symbolic suspension, mirroring [`crate::coroutine::Suspend`].
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 enum SymSuspend {
     SampleSend {
         chan: ChannelName,
@@ -389,7 +428,7 @@ impl SymSuspend {
 
 /// A symbolic step outcome, mirroring [`crate::coroutine::Step`] plus the
 /// deterministic-error terminal.
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 enum SymStep {
     Suspended(SymSuspend),
     Done(SymValue),
@@ -468,6 +507,37 @@ fn branch_arm(prog: &CompiledProgram, node: CmdId, selection: bool) -> Result<Cm
     }
 }
 
+/// Captures the symbolic values of free variables `vars`, in order.
+/// Returns them when some are per-lane; otherwise loads them into the
+/// constant-folding stack and returns `None`.
+fn capture(
+    cx: &mut PlanCx<'_>,
+    co: &SymCo,
+    vars: impl IntoIterator<Item = Ident>,
+) -> Result<Option<Vec<(Ident, SymValue)>>, Halt> {
+    let mut binds: Vec<(Ident, SymValue)> = Vec::new();
+    for x in vars {
+        if binds.iter().any(|(name, _)| *name == x) {
+            continue;
+        }
+        let sv = co.lookup(x).ok_or(Halt::Fails)?;
+        if matches!(sv, SymValue::Const(Value::Closure { .. })) {
+            return Err(Halt::Bail(Bail("closure crosses a site")));
+        }
+        binds.push((x, sv.clone()));
+    }
+    if binds.iter().any(|(_, sv)| matches!(sv, SymValue::Slot(_))) {
+        return Ok(Some(binds));
+    }
+    cx.scratch.clear();
+    for (x, sv) in binds {
+        if let SymValue::Const(v) = sv {
+            cx.scratch.push(x, v);
+        }
+    }
+    Ok(None)
+}
+
 /// Lazy symbolic evaluation of a pure expression: constant-folds when every
 /// free variable is constant, otherwise captures the lane bindings without
 /// forcing a slot allocation (forks evaluate the predicate in place).
@@ -488,31 +558,11 @@ fn sym_eval_lazy(cx: &mut PlanCx<'_>, co: &SymCo, e: &Expr) -> Result<LazyVal, H
         }
         _ => {}
     }
-    let mut binds = Vec::new();
-    let mut all_const = true;
-    for x in e.free_vars() {
-        let sv = co.lookup(x).ok_or(Halt::Fails)?.clone();
-        match &sv {
-            SymValue::Const(Value::Closure { .. }) => {
-                return Err(Halt::Bail(Bail("closure crosses a site")))
-            }
-            SymValue::Slot(_) => all_const = false,
-            SymValue::Const(_) => {}
-        }
-        binds.push((x, sv));
-    }
-    if !all_const {
+    if let Some(binds) = capture(cx, co, e.free_vars())? {
         return Ok(LazyVal::Lane {
             expr: e.clone(),
             binds,
         });
-    }
-    cx.scratch.clear();
-    for (x, sv) in &binds {
-        let SymValue::Const(v) = sv else {
-            unreachable!()
-        };
-        cx.scratch.push(*x, v.clone());
     }
     match eval_expr_in(&mut cx.scratch, e) {
         Ok(Value::Closure { .. }) => Err(Halt::Bail(Bail("closure crosses a site"))),
@@ -546,36 +596,12 @@ fn sym_eval_dist(cx: &mut PlanCx<'_>, co: &SymCo, node: &DistNode) -> Result<Lan
     match node {
         DistNode::Const(d) => Ok(LaneDist::Const(d.clone())),
         DistNode::Ctor(ctor) => {
-            let mut binds = Vec::new();
-            let mut all_const = true;
-            for arg in ctor.args() {
-                for x in arg.free_vars() {
-                    if binds.iter().any(|(name, _)| *name == x) {
-                        continue;
-                    }
-                    let sv = co.lookup(x).ok_or(Halt::Fails)?.clone();
-                    match &sv {
-                        SymValue::Const(Value::Closure { .. }) => {
-                            return Err(Halt::Bail(Bail("closure crosses a site")))
-                        }
-                        SymValue::Slot(_) => all_const = false,
-                        SymValue::Const(_) => {}
-                    }
-                    binds.push((x, sv));
-                }
-            }
-            if !all_const {
+            let vars = ctor.args().into_iter().flat_map(|arg| arg.free_vars());
+            if let Some(binds) = capture(cx, co, vars)? {
                 return Ok(LaneDist::Ctor {
                     expr: ctor.clone(),
                     binds,
                 });
-            }
-            cx.scratch.clear();
-            for (x, sv) in &binds {
-                let SymValue::Const(v) = sv else {
-                    unreachable!()
-                };
-                cx.scratch.push(*x, v.clone());
             }
             match eval_dist_in(&mut cx.scratch, ctor) {
                 Ok(d) => Ok(LaneDist::Const(d)),
@@ -630,19 +656,12 @@ fn sym_drive(cx: &mut PlanCx<'_>, co: &mut SymCo, ops: &mut Vec<Op>) -> Result<S
                         marks,
                     } => {
                         co.pending_args.clear();
-                        let mut failed = false;
                         for arg in args {
                             match sym_eval(cx, co, arg, ops) {
                                 Ok(v) => co.pending_args.push(v),
-                                Err(Halt::Fails) => {
-                                    failed = true;
-                                    break;
-                                }
+                                Err(Halt::Fails) => return Ok(SymStep::Fails),
                                 Err(Halt::Bail(b)) => return Err(b),
                             }
-                        }
-                        if failed {
-                            return Ok(SymStep::Fails);
                         }
                         let callee = match callee {
                             CalleeRef::Resolved(id) => *id,
@@ -790,7 +809,7 @@ fn sym_resume(
 // ---------------------------------------------------------------------------
 
 /// The symbolic joint state: both coroutines plus their last steps.
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 struct SymJoint {
     model: SymCo,
     guide: SymCo,
@@ -813,7 +832,7 @@ fn emit_score(cx: &PlanCx<'_>, ops: &mut Vec<Op>, model: bool, dist: LaneDist, v
             w: d.log_density(v),
         }),
         (LaneDist::Const(d), ScoreVal::Slot(s)) => {
-            if class_of_kind(d.kind()) == cx.carriers[*s] {
+            if class_of_kind(d.kind()) == cx.plan.carriers[*s] {
                 ops.push(Op::Score { model, dist, value });
             } else {
                 ops.push(Op::ScoreConst {
@@ -829,6 +848,7 @@ fn emit_score(cx: &PlanCx<'_>, ops: &mut Vec<Op>, model: bool, dist: LaneDist, v
 /// Which joint rendezvous is being forked on a lane-dependent branch
 /// predicate (determines the resume order, which must match the scalar
 /// arbitration exactly).
+#[derive(Debug, Clone, Copy)]
 enum ForkKind {
     /// Model branch on the observation channel: model acknowledged alone.
     ModelOnly,
@@ -838,72 +858,82 @@ enum ForkKind {
     GuideSends,
 }
 
-/// Resolves one fork arm: applies the resume(s) for selection `sel`, then
-/// continues compiling the path.
-fn fork_arm(
-    cx: &mut PlanCx<'_>,
-    mut st: SymJoint,
-    sel: bool,
-    kind: &ForkKind,
-    depth: usize,
-) -> Result<Vec<Op>, Bail> {
+/// Plans a pending arm: spawns both coroutines (the entry) or applies the
+/// fork's resume(s) for the arm's selection, then compiles the path up to
+/// its next fork, finish or fail.
+fn plan_pending(cx: &mut PlanCx<'_>, pending: PendingArm) -> Result<Vec<Op>, Bail> {
     let mut ops = Vec::new();
-    match kind {
-        ForkKind::ModelOnly => {
-            st.mstep = sym_resume(cx, &mut st.model, SymResume::AckBranch(sel), &mut ops)?;
+    let st = match pending {
+        PendingArm::Entry => {
+            let (exec, spec) = (cx.exec, cx.spec);
+            let mut args = spec.model_args.iter().chain(&spec.guide_args);
+            if args.any(|arg| matches!(arg, Value::Closure { .. })) {
+                return Err(Bail("closure argument"));
+            }
+            let mut model = sym_spawn(&exec.model_program, &spec.model_proc, &spec.model_args)?;
+            let mut guide = sym_spawn(&exec.guide_program, &spec.guide_proc, &spec.guide_args)?;
+            let mstep = sym_drive(cx, &mut model, &mut ops)?;
+            let gstep = sym_drive(cx, &mut guide, &mut ops)?;
+            SymJoint {
+                model,
+                guide,
+                mstep,
+                gstep,
+                obs_used: 0,
+            }
         }
-        ForkKind::ModelSends => {
-            st.gstep = sym_resume(cx, &mut st.guide, SymResume::Branch(sel), &mut ops)?;
-            st.mstep = sym_resume(cx, &mut st.model, SymResume::AckBranch(sel), &mut ops)?;
+        PendingArm::Fork { mut st, sel, kind } => {
+            match kind {
+                ForkKind::ModelOnly => {
+                    st.mstep = sym_resume(cx, &mut st.model, SymResume::AckBranch(sel), &mut ops)?;
+                }
+                ForkKind::ModelSends => {
+                    st.gstep = sym_resume(cx, &mut st.guide, SymResume::Branch(sel), &mut ops)?;
+                    st.mstep = sym_resume(cx, &mut st.model, SymResume::AckBranch(sel), &mut ops)?;
+                }
+                ForkKind::GuideSends => {
+                    st.mstep = sym_resume(cx, &mut st.model, SymResume::Branch(sel), &mut ops)?;
+                    st.gstep = sym_resume(cx, &mut st.guide, SymResume::AckBranch(sel), &mut ops)?;
+                }
+            }
+            *st
         }
-        ForkKind::GuideSends => {
-            st.mstep = sym_resume(cx, &mut st.model, SymResume::Branch(sel), &mut ops)?;
-            st.gstep = sym_resume(cx, &mut st.guide, SymResume::AckBranch(sel), &mut ops)?;
-        }
-    }
-    let rest = drive_path(cx, st, depth + 1)?;
-    ops.extend(rest);
-    Ok(ops)
+    };
+    drive_path(cx, st, ops)
 }
 
-/// Emits a fork on a lane-dependent branch predicate and compiles both arms.
-#[allow(clippy::too_many_arguments)] // plan-compiler state is threaded explicitly
+/// Ends `ops` with a fork on a lane-dependent branch predicate; both arms
+/// stay pending until lanes reach them.
 fn fork(
     cx: &mut PlanCx<'_>,
     mut ops: Vec<Op>,
     st: SymJoint,
-    depth: usize,
     pred: Expr,
     binds: Vec<(Ident, SymValue)>,
     msg: Option<bool>,
     kind: ForkKind,
-) -> Result<Vec<Op>, Bail> {
-    if depth >= MAX_DEPTH {
-        return Err(Bail("fork depth exceeded"));
+) -> Vec<Op> {
+    let then_arm = cx.plan.arms.len();
+    for (st, sel) in [(Box::new(st.clone()), true), (Box::new(st), false)] {
+        let arm = PendingArm::Fork { st, sel, kind };
+        cx.plan.arms.push(Arm::Pending(arm));
     }
-    let else_st = st.clone();
-    let then_ops = fork_arm(cx, st, true, &kind, depth)?;
-    let else_ops = fork_arm(cx, else_st, false, &kind, depth)?;
     ops.push(Op::Fork {
         pred,
         binds,
         msg,
-        then_ops,
-        else_ops,
+        then_arm,
+        else_arm: then_arm + 1,
     });
-    Ok(ops)
+    ops
 }
 
-/// Compiles one path of the joint execution, mirroring the arbitration loop
-/// of `drive_joint` arm for arm (the step order and resume order determine
-/// both the RNG consumption order and the floating-point accumulation
-/// order, so they must match exactly).
-fn drive_path(cx: &mut PlanCx<'_>, mut st: SymJoint, depth: usize) -> Result<Vec<Op>, Bail> {
-    cx.leaves += 1;
-    if cx.leaves > MAX_LEAVES {
-        return Err(Bail("fork leaf budget exceeded"));
-    }
-    let mut ops = Vec::new();
+/// Compiles one path of the joint execution onto `ops` up to its first
+/// lane-dependent fork, mirroring the arbitration loop of `drive_joint`
+/// arm for arm (the step order and resume order determine both the RNG
+/// consumption order and the floating-point accumulation order, so they
+/// must match exactly).
+fn drive_path(cx: &mut PlanCx<'_>, mut st: SymJoint, mut ops: Vec<Op>) -> Result<Vec<Op>, Bail> {
     loop {
         cx.burn_fuel()?;
         if matches!(st.mstep, SymStep::Fails) || matches!(st.gstep, SymStep::Fails) {
@@ -953,7 +983,7 @@ fn drive_path(cx: &mut PlanCx<'_>, mut st: SymJoint, depth: usize) -> Result<Vec
                             sym_resume(cx, &mut st.model, SymResume::AckBranch(sel), &mut ops)?;
                     }
                     SymBool::Lane { pred, binds } => {
-                        return fork(cx, ops, st, depth, pred, binds, None, ForkKind::ModelOnly);
+                        return Ok(fork(cx, ops, st, pred, binds, None, ForkKind::ModelOnly));
                     }
                 },
                 _ => {
@@ -1043,16 +1073,15 @@ fn drive_path(cx: &mut PlanCx<'_>, mut st: SymJoint, depth: usize) -> Result<Vec
                     st.mstep = sym_resume(cx, &mut st.model, SymResume::AckBranch(sel), &mut ops)?;
                 }
                 SymBool::Lane { pred, binds } => {
-                    return fork(
+                    return Ok(fork(
                         cx,
                         ops,
                         st,
-                        depth,
                         pred,
                         binds,
                         Some(false),
                         ForkKind::ModelSends,
-                    );
+                    ));
                 }
             },
             // Guide directs a latent branch.
@@ -1072,16 +1101,15 @@ fn drive_path(cx: &mut PlanCx<'_>, mut st: SymJoint, depth: usize) -> Result<Vec
                     st.gstep = sym_resume(cx, &mut st.guide, SymResume::AckBranch(sel), &mut ops)?;
                 }
                 SymBool::Lane { pred, binds } => {
-                    return fork(
+                    return Ok(fork(
                         cx,
                         ops,
                         st,
-                        depth,
                         pred,
                         binds,
                         Some(true),
                         ForkKind::GuideSends,
-                    );
+                    ));
                 }
             },
             // Both coroutines fold on the latent channel together.
@@ -1108,40 +1136,43 @@ fn drive_path(cx: &mut PlanCx<'_>, mut st: SymJoint, depth: usize) -> Result<Vec
 }
 
 impl BlockPlan {
-    /// Compiles a block plan for `exec` under `spec`, or reports why the
-    /// program shape must stay on the scalar path.
-    pub(crate) fn compile(exec: &JointExecutor, spec: &JointSpec) -> Result<BlockPlan, Bail> {
-        for arg in spec.model_args.iter().chain(spec.guide_args.iter()) {
-            if matches!(arg, Value::Closure { .. }) {
-                return Err(Bail("closure argument"));
-            }
+    /// A plan whose every arm, the entry prefix included, is pending: the
+    /// first block plans what its lanes reach.
+    fn new() -> BlockPlan {
+        BlockPlan {
+            arms: vec![Arm::Pending(PendingArm::Entry)],
+            carriers: Vec::new(),
+            planned: 0,
+            fuel: FUEL,
         }
+    }
+
+    /// Plans pending arm `arm` up to its next fork and keeps it, spending
+    /// one unit of the arm budget, or reports why the program shape must
+    /// stay on the scalar path.
+    fn plan_arm(
+        &mut self,
+        exec: &JointExecutor,
+        spec: &JointSpec,
+        arm: usize,
+    ) -> Result<Arc<[Op]>, Bail> {
+        if self.planned >= ARM_BUDGET {
+            return Err(Bail("fork arm budget exhausted"));
+        }
+        let placeholder = Arm::Planned(Vec::new().into());
+        let Arm::Pending(pending) = std::mem::replace(&mut self.arms[arm], placeholder) else {
+            unreachable!("only pending arms are planned");
+        };
+        self.planned += 1;
         let mut cx = PlanCx {
             exec,
             spec,
-            carriers: Vec::new(),
-            fuel: FUEL,
-            leaves: 0,
+            plan: self,
             scratch: ValueStack::new(),
         };
-        let mut model = sym_spawn(&exec.model_program, &spec.model_proc, &spec.model_args)?;
-        let mut guide = sym_spawn(&exec.guide_program, &spec.guide_proc, &spec.guide_args)?;
-        let mut ops = Vec::new();
-        let mstep = sym_drive(&mut cx, &mut model, &mut ops)?;
-        let gstep = sym_drive(&mut cx, &mut guide, &mut ops)?;
-        let st = SymJoint {
-            model,
-            guide,
-            mstep,
-            gstep,
-            obs_used: 0,
-        };
-        let rest = drive_path(&mut cx, st, 0)?;
-        ops.extend(rest);
-        Ok(BlockPlan {
-            ops,
-            carriers: cx.carriers,
-        })
+        let ops: Arc<[Op]> = plan_pending(&mut cx, pending)?.into();
+        self.arms[arm] = Arm::Planned(Arc::clone(&ops));
+        Ok(ops)
     }
 }
 
@@ -1198,8 +1229,9 @@ impl PlanKey {
 /// steady state allocates nothing.
 #[derive(Debug, Default)]
 pub(crate) struct BlockScratch {
-    /// The most recent plan (or cached compile failure) and its key.
-    cache: Option<(PlanKey, Option<Arc<BlockPlan>>)>,
+    /// The most recent plan (or its cached scalar verdict) and its key.
+    /// The plan grows as lanes reach new arms, so it is per worker.
+    cache: Option<(PlanKey, Result<BlockPlan, Bail>)>,
     rngs: Vec<Pcg32>,
     /// One `f64` column per slot.
     slots: Vec<Vec<f64>>,
@@ -1218,14 +1250,16 @@ pub(crate) struct BlockScratch {
     finished: Vec<Option<(Value, Value, u32)>>,
 }
 
-/// The op-tree interpreter over the structure-of-arrays lane buffers.
+/// The plan interpreter over the structure-of-arrays lane buffers; it
+/// plans pending arms as lanes reach them.
 struct Runner<'p, 's> {
     count: usize,
-    cancel: &'p crate::cancel::CancelToken,
-    carriers: &'p [Carrier],
+    exec: &'p JointExecutor,
+    spec: &'p JointSpec,
+    plan: &'s mut BlockPlan,
     rngs: &'s mut [Pcg32],
-    slots: &'s mut [Vec<f64>],
-    tags: &'s mut [Vec<u8>],
+    slots: &'s mut Vec<Vec<f64>>,
+    tags: &'s mut Vec<Vec<u8>>,
     model_lw: &'s mut [f64],
     guide_lw: &'s mut [f64],
     traces: &'s mut [Trace],
@@ -1236,51 +1270,121 @@ struct Runner<'p, 's> {
     finished: &'s mut [Option<(Value, Value, u32)>],
 }
 
-/// Rebuilds the per-lane binding stack for an expression's free variables.
-fn materialize(
-    stack: &mut ValueStack,
-    slots: &[Vec<f64>],
-    tags: &[Vec<u8>],
-    carriers: &[Carrier],
-    binds: &[(Ident, SymValue)],
-    lane: usize,
-) -> Result<(), RunBail> {
-    stack.clear();
-    for (x, sv) in binds {
-        let v = match sv {
-            SymValue::Const(v) => v.clone(),
-            SymValue::Slot(s) => decode_slot(carriers[*s], slots[*s][lane], tags[*s][lane])?,
-        };
-        stack.push(*x, v);
+/// Grows `cols` to one column per slot, each at least `count` lanes long
+/// (columns are retained across blocks and plans).
+fn fit_columns<T: Clone + Default>(cols: &mut Vec<Vec<T>>, nslots: usize, count: usize) {
+    if cols.len() < nslots {
+        cols.resize_with(nslots, Vec::new);
     }
-    Ok(())
+    for col in &mut cols[..nslots] {
+        if col.len() < count {
+            col.resize(count, T::default());
+        }
+    }
 }
 
-fn decode_symvalue(
-    sv: &SymValue,
-    slots: &[Vec<f64>],
-    tags: &[Vec<u8>],
-    carriers: &[Carrier],
-    lane: usize,
-) -> Result<Value, RunBail> {
-    match sv {
-        SymValue::Const(v) => Ok(v.clone()),
-        SymValue::Slot(s) => decode_slot(carriers[*s], slots[*s][lane], tags[*s][lane]),
+/// The model's or the guide's log-weight column.
+fn weights<'a>(model: bool, model_lw: &'a mut [f64], guide_lw: &'a mut [f64]) -> &'a mut [f64] {
+    if model {
+        model_lw
+    } else {
+        guide_lw
     }
 }
 
 impl Runner<'_, '_> {
-    fn run_ops(&mut self, ops: &[Op], lanes: &[u32], depth: usize) -> Result<(), RunBail> {
+    /// Lane `lane`'s value of `sv`.
+    fn decode(&self, sv: &SymValue, lane: usize) -> Result<Value, RunBail> {
+        match sv {
+            SymValue::Const(v) => Ok(v.clone()),
+            SymValue::Slot(s) => decode_slot(
+                self.plan.carriers[*s],
+                self.slots[*s][lane],
+                self.tags[*s][lane],
+            ),
+        }
+    }
+
+    /// Rebuilds the evaluation stack from lane `lane`'s values of an
+    /// expression's free variables.
+    fn bind(&mut self, binds: &[(Ident, SymValue)], lane: usize) -> Result<(), RunBail> {
+        self.eval_stack.clear();
+        for (x, sv) in binds {
+            let v = self.decode(sv, lane)?;
+            self.eval_stack.push(*x, v);
+        }
+        Ok(())
+    }
+
+    /// Records lane `l`'s drawn value in its trace and in `slot`.
+    fn record_draw(&mut self, l: usize, slot: usize, provider: bool, s: Sample) {
+        self.traces[l].push(if provider {
+            Message::ValP(s)
+        } else {
+            Message::ValC(s)
+        });
+        self.slots[slot][l] = encode_sample(s);
+    }
+
+    /// Evaluates a fork predicate per lane, records the direction message
+    /// (`Some(provider)`), and partitions `lanes` between the two arms.
+    fn split(
+        &mut self,
+        lanes: &[u32],
+        pred: &Expr,
+        binds: &[(Ident, SymValue)],
+        msg: Option<bool>,
+        then_lanes: &mut Vec<u32>,
+        else_lanes: &mut Vec<u32>,
+    ) -> Result<(), RunBail> {
+        then_lanes.clear();
+        else_lanes.clear();
+        for &l in lanes {
+            let lu = l as usize;
+            self.bind(binds, lu)?;
+            let v = eval_expr_in(&mut *self.eval_stack, pred).map_err(|_| RunBail::Block)?;
+            let sel = v.as_bool().ok_or(RunBail::Block)?;
+            if let Some(provider) = msg {
+                self.traces[lu].push(if provider {
+                    Message::DirP(sel)
+                } else {
+                    Message::DirC(sel)
+                });
+            }
+            if sel {
+                then_lanes.push(l);
+            } else {
+                else_lanes.push(l);
+            }
+        }
+        Ok(())
+    }
+
+    /// Runs arm `arm` on `lanes`, planning it first if no lane of this
+    /// worker has reached it before (new slots grow the columns in place).
+    fn run_arm(&mut self, arm: usize, lanes: &[u32], depth: usize) -> Result<(), RunBail> {
         if lanes.is_empty() {
             return Ok(());
         }
+        let ops = match &self.plan.arms[arm] {
+            Arm::Planned(ops) => Arc::clone(ops),
+            Arm::Pending(_) => {
+                let ops = (self.plan)
+                    .plan_arm(self.exec, self.spec, arm)
+                    .map_err(RunBail::Plan)?;
+                let nslots = self.plan.carriers.len();
+                fit_columns(self.slots, nslots, self.count);
+                fit_columns(self.tags, nslots, self.count);
+                ops
+            }
+        };
         // One flush per op-list per block (amortised over every lane), so
         // the per-op loop below stays atomic-free.
         crate::stats::record_cancel_checks(ops.len() as u64);
         // Batched kernels apply whenever the active set is the full dense
         // block (possible inside a fork arm when every lane agreed).
         let full = lanes.len() == self.count;
-        for op in ops {
+        for op in ops.iter() {
             #[cfg(feature = "faults")]
             crate::faults::maybe_stall_op();
             // A raised token bails the whole block to the scalar path,
@@ -1288,8 +1392,8 @@ impl Runner<'_, '_> {
             // lane 0 — without threading a second error type through the
             // op interpreter.  Costs two `Option` tests per op when no
             // token is armed.
-            if self.cancel.check().is_err() {
-                return Err(RunBail);
+            if self.exec.cancel.check().is_err() {
+                return Err(RunBail::Block);
             }
             match op {
                 Op::Draw {
@@ -1302,57 +1406,31 @@ impl Runner<'_, '_> {
                         for &l in lanes {
                             let l = l as usize;
                             let s = self.sample_buf[l];
-                            self.traces[l].push(if *provider {
-                                Message::ValP(s)
-                            } else {
-                                Message::ValC(s)
-                            });
-                            self.slots[*slot][l] = encode_sample(s);
+                            self.record_draw(l, *slot, *provider, s);
                         }
                     }
                     LaneDist::Const(d) => {
                         for &l in lanes {
                             let l = l as usize;
                             let s = d.draw(&mut self.rngs[l]);
-                            self.traces[l].push(if *provider {
-                                Message::ValP(s)
-                            } else {
-                                Message::ValC(s)
-                            });
-                            self.slots[*slot][l] = encode_sample(s);
+                            self.record_draw(l, *slot, *provider, s);
                         }
                     }
                     LaneDist::Ctor { expr, binds } => {
                         for &l in lanes {
                             let l = l as usize;
-                            materialize(
-                                self.eval_stack,
-                                &*self.slots,
-                                &*self.tags,
-                                self.carriers,
-                                binds,
-                                l,
-                            )?;
-                            let d =
-                                eval_dist_in(&mut *self.eval_stack, expr).map_err(|_| RunBail)?;
+                            self.bind(binds, l)?;
+                            let d = eval_dist_in(&mut *self.eval_stack, expr)
+                                .map_err(|_| RunBail::Block)?;
                             let s = d.draw(&mut self.rngs[l]);
-                            self.traces[l].push(if *provider {
-                                Message::ValP(s)
-                            } else {
-                                Message::ValC(s)
-                            });
-                            self.slots[*slot][l] = encode_sample(s);
+                            self.record_draw(l, *slot, *provider, s);
                         }
                     }
                 },
                 Op::Score { model, dist, value } => match (dist, value) {
                     (LaneDist::Const(d), ScoreVal::Slot(s)) => {
-                        let carrier = self.carriers[*s];
-                        let lw = if *model {
-                            &mut *self.model_lw
-                        } else {
-                            &mut *self.guide_lw
-                        };
+                        let carrier = self.plan.carriers[*s];
+                        let lw = weights(*model, self.model_lw, self.guide_lw);
                         if full && matches!(carrier, Carrier::Real | Carrier::Bool) {
                             d.log_density_batch(&self.slots[*s][..self.count], self.score_buf);
                             for &l in lanes.iter() {
@@ -1362,19 +1440,15 @@ impl Runner<'_, '_> {
                         } else {
                             for &l in lanes.iter() {
                                 let l = l as usize;
-                                let sample =
-                                    decode_sample(carrier, self.slots[*s][l]).ok_or(RunBail)?;
+                                let sample = decode_sample(carrier, self.slots[*s][l])
+                                    .ok_or(RunBail::Block)?;
                                 lw[l] += d.log_density(&sample);
                             }
                         }
                     }
                     (LaneDist::Const(d), ScoreVal::Sample(v)) => {
                         let w = d.log_density(v);
-                        let lw = if *model {
-                            &mut *self.model_lw
-                        } else {
-                            &mut *self.guide_lw
-                        };
+                        let lw = weights(*model, self.model_lw, self.guide_lw);
                         for &l in lanes {
                             lw[l as usize] += w;
                         }
@@ -1382,38 +1456,23 @@ impl Runner<'_, '_> {
                     (LaneDist::Ctor { expr, binds }, value) => {
                         for &l in lanes {
                             let l = l as usize;
-                            materialize(
-                                self.eval_stack,
-                                &*self.slots,
-                                &*self.tags,
-                                self.carriers,
-                                binds,
-                                l,
-                            )?;
-                            let d =
-                                eval_dist_in(&mut *self.eval_stack, expr).map_err(|_| RunBail)?;
+                            self.bind(binds, l)?;
+                            let d = eval_dist_in(&mut *self.eval_stack, expr)
+                                .map_err(|_| RunBail::Block)?;
                             let sample = match value {
                                 ScoreVal::Sample(v) => *v,
                                 ScoreVal::Slot(s) => {
-                                    decode_sample(self.carriers[*s], self.slots[*s][l])
-                                        .ok_or(RunBail)?
+                                    decode_sample(self.plan.carriers[*s], self.slots[*s][l])
+                                        .ok_or(RunBail::Block)?
                                 }
                             };
-                            let lw = if *model {
-                                &mut *self.model_lw
-                            } else {
-                                &mut *self.guide_lw
-                            };
-                            lw[l] += d.log_density(&sample);
+                            weights(*model, self.model_lw, self.guide_lw)[l] +=
+                                d.log_density(&sample);
                         }
                     }
                 },
                 Op::ScoreConst { model, w } => {
-                    let lw = if *model {
-                        &mut *self.model_lw
-                    } else {
-                        &mut *self.guide_lw
-                    };
+                    let lw = weights(*model, self.model_lw, self.guide_lw);
                     for &l in lanes {
                         lw[l as usize] += *w;
                     }
@@ -1421,16 +1480,10 @@ impl Runner<'_, '_> {
                 Op::Eval { expr, binds, slot } => {
                     for &l in lanes {
                         let l = l as usize;
-                        materialize(
-                            self.eval_stack,
-                            &*self.slots,
-                            &*self.tags,
-                            self.carriers,
-                            binds,
-                            l,
-                        )?;
-                        let v = eval_expr_in(&mut *self.eval_stack, expr).map_err(|_| RunBail)?;
-                        let (tag, x) = encode_value(&v).ok_or(RunBail)?;
+                        self.bind(binds, l)?;
+                        let v = eval_expr_in(&mut *self.eval_stack, expr)
+                            .map_err(|_| RunBail::Block)?;
+                        let (tag, x) = encode_value(&v).ok_or(RunBail::Block)?;
                         self.slots[*slot][l] = x;
                         self.tags[*slot][l] = tag;
                     }
@@ -1457,75 +1510,33 @@ impl Runner<'_, '_> {
                     pred,
                     binds,
                     msg,
-                    then_ops,
-                    else_ops,
+                    then_arm,
+                    else_arm,
                 } => {
                     if self.fork_bufs.len() <= depth {
                         self.fork_bufs.push((Vec::new(), Vec::new()));
                     }
                     let (mut then_lanes, mut else_lanes) =
                         std::mem::take(&mut self.fork_bufs[depth]);
-                    then_lanes.clear();
-                    else_lanes.clear();
-                    let mut bail = false;
-                    for &l in lanes {
-                        let lu = l as usize;
-                        if materialize(
-                            self.eval_stack,
-                            &*self.slots,
-                            &*self.tags,
-                            self.carriers,
-                            binds,
-                            lu,
-                        )
-                        .is_err()
-                        {
-                            bail = true;
-                            break;
-                        }
-                        let sel = match eval_expr_in(&mut *self.eval_stack, pred) {
-                            Ok(v) => match v.as_bool() {
-                                Some(b) => b,
-                                None => {
-                                    bail = true;
-                                    break;
-                                }
-                            },
-                            Err(_) => {
-                                bail = true;
-                                break;
+                    let result = self
+                        .split(lanes, pred, binds, *msg, &mut then_lanes, &mut else_lanes)
+                        .and_then(|()| {
+                            let diverged = !then_lanes.is_empty() && !else_lanes.is_empty();
+                            if diverged {
+                                crate::stats::record_lane_split();
                             }
-                        };
-                        if let Some(provider) = msg {
-                            self.traces[lu].push(if *provider {
-                                Message::DirP(sel)
-                            } else {
-                                Message::DirC(sel)
-                            });
-                        }
-                        if sel {
-                            then_lanes.push(l);
-                        } else {
-                            else_lanes.push(l);
-                        }
-                    }
-                    let diverged = !bail && !then_lanes.is_empty() && !else_lanes.is_empty();
-                    if diverged {
-                        crate::stats::record_lane_split();
-                    }
-                    let result = if bail {
-                        Err(RunBail)
-                    } else {
-                        self.run_ops(then_ops, &then_lanes, depth + 1)
-                            .and_then(|()| self.run_ops(else_ops, &else_lanes, depth + 1))
-                    };
-                    if diverged && result.is_ok() {
-                        crate::stats::record_lane_reconverge();
-                    }
+                            self.run_arm(*then_arm, &then_lanes, depth + 1)?;
+                            self.run_arm(*else_arm, &else_lanes, depth + 1)?;
+                            if diverged {
+                                crate::stats::record_lane_reconverge();
+                            }
+                            Ok(())
+                        });
+                    // The partition buffers go back even when an arm bailed.
                     self.fork_bufs[depth] = (then_lanes, else_lanes);
                     result?;
                 }
-                Op::Fail => return Err(RunBail),
+                Op::Fail => return Err(RunBail::Block),
                 Op::Finish {
                     model_value,
                     guide_value,
@@ -1533,20 +1544,8 @@ impl Runner<'_, '_> {
                 } => {
                     for &l in lanes {
                         let l = l as usize;
-                        let mv = decode_symvalue(
-                            model_value,
-                            &*self.slots,
-                            &*self.tags,
-                            self.carriers,
-                            l,
-                        )?;
-                        let gv = decode_symvalue(
-                            guide_value,
-                            &*self.slots,
-                            &*self.tags,
-                            self.carriers,
-                            l,
-                        )?;
+                        let mv = self.decode(model_value, l)?;
+                        let gv = self.decode(guide_value, l)?;
                         self.finished[l] = Some((mv, gv, *obs_used));
                     }
                 }
@@ -1559,6 +1558,19 @@ impl Runner<'_, '_> {
 // ---------------------------------------------------------------------------
 // Entry point
 // ---------------------------------------------------------------------------
+
+impl JointScratch {
+    /// The block executor's verdict on the program this scratch last ran
+    /// blocks of: `None` before any block ran, `Some(Ok(()))` while its
+    /// cached plan vectorises, and `Some(Err(reason))` once the plan gave
+    /// up (for example `"fork arm budget exhausted"` on tree recursion)
+    /// and every block runs through the scalar path.  Results are
+    /// bit-identical either way; the verdict only says which path ran.
+    pub fn plan_verdict(&self) -> Option<Result<(), &'static str>> {
+        let (_, plan) = self.block.cache.as_ref()?;
+        Some(plan.as_ref().map(|_| ()).map_err(|bail| bail.0))
+    }
+}
 
 impl JointExecutor {
     /// Runs a lockstep block of `count` joint executions, pushing one
@@ -1574,8 +1586,9 @@ impl JointExecutor {
     /// lane, exactly as the scalar engine would.
     ///
     /// The first call per `(programs, observations, spec)` combination
-    /// compiles a block plan into `scratch`; subsequent calls reuse it, and
-    /// the warmed loop performs no steady-state heap allocations.
+    /// compiles a block plan into `scratch`; subsequent calls reuse it and
+    /// extend it with the fork arms their lanes reach first, and once every
+    /// reached arm is planned the loop performs no heap allocations.
     pub fn run_block_with_scratch(
         &self,
         spec: &JointSpec,
@@ -1594,21 +1607,23 @@ impl JointExecutor {
         // scalar fallback per lane, so a mid-block expiry also surfaces.
         self.cancel.check()?;
         crate::stats::record_cancel_checks(1);
-        let plan = match &scratch.block.cache {
-            Some((key, plan)) if key.matches(self, spec) => plan.clone(),
-            _ => {
-                let plan = BlockPlan::compile(self, spec).ok().map(Arc::new);
-                scratch.block.cache = Some((PlanKey::new(self, spec), plan.clone()));
-                plan
-            }
+        // The plan leaves the scratch while it runs (it grows in place).
+        let (key, mut plan) = match scratch.block.cache.take() {
+            Some((key, plan)) if key.matches(self, spec) => (key, plan),
+            _ => (PlanKey::new(self, spec), Ok(BlockPlan::new())),
         };
-        let Some(plan) = plan else {
-            return self.scalar_block(spec, master, first_stream, count, scratch, out);
+        let outcome = match &mut plan {
+            Ok(p) => self.run_plan(spec, p, master, first_stream, count, scratch, out),
+            Err(_) => Err(RunBail::Block),
         };
-        match self.run_plan(&plan, master, first_stream, count, scratch, out) {
-            Ok(()) => Ok(()),
-            Err(RunBail) => self.scalar_block(spec, master, first_stream, count, scratch, out),
+        if let Err(RunBail::Plan(bail)) = outcome {
+            plan = Err(bail);
         }
+        scratch.block.cache = Some((key, plan));
+        if outcome.is_ok() {
+            return Ok(());
+        }
+        self.scalar_block(spec, master, first_stream, count, scratch, out)
     }
 
     /// The per-lane scalar fallback: identical streams, identical results.
@@ -1631,9 +1646,11 @@ impl JointExecutor {
         Ok(())
     }
 
+    #[allow(clippy::too_many_arguments)] // the block entry point's arguments plus its plan
     fn run_plan(
         &self,
-        plan: &BlockPlan,
+        spec: &JointSpec,
+        plan: &mut BlockPlan,
         master: &Pcg32,
         first_stream: u64,
         count: usize,
@@ -1659,21 +1676,8 @@ impl JointExecutor {
             bs.rngs.push(master.split(first_stream + i as u64));
         }
         // Structure-of-arrays columns.
-        let nslots = plan.carriers.len();
-        if bs.slots.len() < nslots {
-            bs.slots.resize_with(nslots, Vec::new);
-            bs.tags.resize_with(nslots, Vec::new);
-        }
-        for col in &mut bs.slots[..nslots] {
-            if col.len() < count {
-                col.resize(count, 0.0);
-            }
-        }
-        for col in &mut bs.tags[..nslots] {
-            if col.len() < count {
-                col.resize(count, 0);
-            }
-        }
+        fit_columns(&mut bs.slots, plan.carriers.len(), count);
+        fit_columns(&mut bs.tags, plan.carriers.len(), count);
         if bs.model_lw.len() < count {
             bs.model_lw.resize(count, 0.0);
             bs.guide_lw.resize(count, 0.0);
@@ -1690,11 +1694,12 @@ impl JointExecutor {
         {
             let mut runner = Runner {
                 count,
-                cancel: &self.cancel,
-                carriers: &plan.carriers,
+                exec: self,
+                spec,
+                plan,
                 rngs: &mut bs.rngs[..count],
-                slots: &mut bs.slots[..nslots],
-                tags: &mut bs.tags[..nslots],
+                slots: &mut bs.slots,
+                tags: &mut bs.tags,
                 model_lw: &mut bs.model_lw[..count],
                 guide_lw: &mut bs.guide_lw[..count],
                 traces: &mut bs.traces[..count],
@@ -1704,13 +1709,13 @@ impl JointExecutor {
                 eval_stack: &mut bs.eval_stack,
                 finished: &mut bs.finished[..count],
             };
-            runner.run_ops(&plan.ops, &bs.lanes, 0)?;
+            runner.run_arm(0, &bs.lanes, 0)?;
         }
 
         // Every lane must have reached a `Finish`; verify before touching
         // `out` so a fallback rerun cannot observe partial pushes.
         if bs.finished[..count].iter().any(Option::is_none) {
-            return Err(RunBail);
+            return Err(RunBail::Block);
         }
         for l in 0..count {
             let (model_value, guide_value, obs_used) =
@@ -1745,8 +1750,14 @@ mod tests {
 
     /// Runs `n` particles through the scalar path and through the block
     /// path at several block sizes, asserting bit-identical results
-    /// (including traces and error equivalence).
-    fn assert_block_matches_scalar(exec: &JointExecutor, spec: &JointSpec, n: usize, seed: u64) {
+    /// (including traces and error equivalence).  Returns the plan verdict
+    /// each block size ended with.
+    fn assert_block_matches_scalar(
+        exec: &JointExecutor,
+        spec: &JointSpec,
+        n: usize,
+        seed: u64,
+    ) -> Vec<Option<Result<(), &'static str>>> {
         let master = Pcg32::seed_from_u64(seed);
         let scalar: Vec<Result<JointResult, RuntimeError>> = (0..n)
             .map(|i| {
@@ -1754,6 +1765,7 @@ mod tests {
                 exec.run(spec, LatentSource::FromGuide, &mut rng)
             })
             .collect();
+        let mut verdicts = Vec::new();
         for &block in &BLOCK_SIZES {
             let mut scratch = JointScratch::new();
             let mut out = Vec::new();
@@ -1817,12 +1829,14 @@ mod tests {
                     assert_eq!(&err, first_err, "error equivalence at block {block}");
                 }
             }
+            verdicts.push(scratch.plan_verdict());
             // Recycle the traces: the pool discipline must keep the next
             // batch identical.
             for r in out {
                 scratch.recycle(r.latent);
             }
         }
+        verdicts
     }
 
     const FIG5_MODEL: &str = r#"
@@ -1899,49 +1913,177 @@ mod tests {
         assert_block_matches_scalar(&exec, &spec, 200, 0xC0FFEE);
     }
 
-    #[test]
-    fn unbounded_recursion_bails_to_scalar_and_matches() {
-        // Data-dependent recursion depth: the planner's fork budget blows
-        // up, the plan caches a failure, and every block takes the scalar
-        // path — still bit-identical.
+    /// A geometric counter (linear recursion: one draw and one
+    /// lane-dependent fork per level) stopping with probability `GEO_P`.
+    const GEO_MODEL: &str = r#"
+        proc GeoModel() : real consume latent provide obs {
+          let n <- call GeoStep(GEO_P);
+          let _ <- sample send obs (Normal(n, 1.0));
+          return n
+        }
+        proc GeoStep(p : ureal) : real consume latent {
+          let u <- sample recv latent (Unif);
+          if send latent (u < p) {
+            return 0.0
+          } else {
+            let rest <- call GeoStep(p);
+            return rest + 1.0
+          }
+        }
+    "#;
+    const GEO_GUIDE: &str = r#"
+        proc GeoGuide() provide latent {
+          let _ <- call GeoStepGuide();
+          return ()
+        }
+        proc GeoStepGuide() provide latent {
+          let u <- sample send latent (Unif);
+          if recv latent {
+            return ()
+          } else {
+            let _ <- call GeoStepGuide();
+            return ()
+          }
+        }
+    "#;
+
+    fn geometric(p: &str) -> (JointExecutor, JointSpec) {
+        let model = GEO_MODEL.replace("GEO_P", p);
+        let exec = executor(&model, GEO_GUIDE, vec![Sample::Real(0.0)]);
+        (exec, JointSpec::new("GeoModel", "GeoGuide"))
+    }
+
+    /// The Fig. 6 PCFG (the registry's ex-2): tree recursion, so almost
+    /// every lane takes a fork path of its own.
+    fn pcfg() -> (JointExecutor, JointSpec) {
         let model = r#"
-            proc GeoModel() : real consume latent provide obs {
-              let n <- call GeoStep(0.5);
-              let _ <- sample send obs (Normal(n, 1.0));
-              return n
+            proc Pcfg() : real consume latent {
+              let k <- sample recv latent (Beta(3.0, 1.0));
+              let t <- call PcfgGen(k);
+              return t
             }
-            proc GeoStep(p : ureal) : real consume latent {
+            proc PcfgGen(k : ureal) : real consume latent {
               let u <- sample recv latent (Unif);
-              if send latent (u < p) {
-                return 0.0
+              if send latent (u < 0.5 + 0.5 * k) {
+                let v <- sample recv latent (Normal(0.0, 1.0));
+                return v
               } else {
-                let rest <- call GeoStep(p);
-                return rest + 1.0
+                let lhs <- call PcfgGen(k);
+                let rhs <- call PcfgGen(k);
+                return lhs + rhs
               }
             }
         "#;
         let guide = r#"
-            proc GeoGuide() provide latent {
-              let _ <- call GeoStepGuide();
+            proc PcfgGuide() provide latent {
+              let k <- sample send latent (Beta(2.0, 2.0));
+              let _ <- call PcfgGenGuide();
               return ()
             }
-            proc GeoStepGuide() provide latent {
+            proc PcfgGenGuide() provide latent {
               let u <- sample send latent (Unif);
               if recv latent {
+                let v <- sample send latent (Normal(0.0, 2.0));
                 return ()
               } else {
-                let _ <- call GeoStepGuide();
+                let _ <- call PcfgGenGuide();
+                let _ <- call PcfgGenGuide();
                 return ()
               }
             }
         "#;
-        let exec = executor(model, guide, vec![Sample::Real(0.0)]);
-        let spec = JointSpec::new("GeoModel", "GeoGuide");
+        (
+            executor(model, guide, Vec::new()),
+            JointSpec::new("Pcfg", "PcfgGuide"),
+        )
+    }
+
+    const EXHAUSTED: Option<Result<(), &str>> = Some(Err("fork arm budget exhausted"));
+
+    /// Runs `blocks` consecutive blocks of `lanes` through one scratch and
+    /// returns the plan verdict after each.
+    fn verdicts_per_block(
+        exec: &JointExecutor,
+        spec: &JointSpec,
+        seed: u64,
+        lanes: usize,
+        blocks: usize,
+    ) -> (Vec<Option<Result<(), &'static str>>>, JointScratch) {
+        let master = Pcg32::seed_from_u64(seed);
+        let mut scratch = JointScratch::new();
+        let mut out = Vec::new();
+        let verdicts = (0..blocks)
+            .map(|b| {
+                exec.run_block_with_scratch(
+                    spec,
+                    &master,
+                    (b * lanes) as u64,
+                    lanes,
+                    &mut scratch,
+                    &mut out,
+                )
+                .expect("runs");
+                scratch.plan_verdict()
+            })
+            .collect();
+        (verdicts, scratch)
+    }
+
+    #[test]
+    fn linear_recursion_vectorises_and_matches() {
+        // Data-dependent recursion depth: each level ends in a fork whose
+        // arms are planned the first time lanes reach them, so the counter
+        // vectorises end to end — still bit-identical.
+        let (exec, spec) = geometric("0.5");
+        let verdicts = assert_block_matches_scalar(&exec, &spec, 200, 0x5EED);
+        assert_eq!(verdicts, [Some(Ok(())); BLOCK_SIZES.len()]);
+        let (verdicts, scratch) = verdicts_per_block(&exec, &spec, 0x5EED, 64, 4);
+        assert_eq!(verdicts, [Some(Ok(())); 4]);
+        let Some((_, Ok(plan))) = &scratch.block.cache else {
+            panic!("the plan must be cached");
+        };
         assert!(
-            BlockPlan::compile(&exec, &spec).is_err(),
-            "recursive model should not vectorise"
+            plan.planned > 8,
+            "lanes must reach several recursion levels, planned {}",
+            plan.planned
         );
-        assert_block_matches_scalar(&exec, &spec, 200, 0x5EED);
+    }
+
+    #[test]
+    fn unbounded_recursion_bails_to_scalar_and_matches() {
+        // Tree recursion: almost every lane takes a path of its own, the
+        // arm budget runs out, the plan caches the scalar verdict, and
+        // every later block takes the scalar path — still bit-identical.
+        let (exec, spec) = pcfg();
+        let verdicts = assert_block_matches_scalar(&exec, &spec, 400, 0x5EED);
+        assert_eq!(verdicts, [EXHAUSTED; BLOCK_SIZES.len()]);
+    }
+
+    #[test]
+    fn deep_linear_recursion_exhausts_the_budget_in_its_first_block() {
+        // Expected depth 1,000: the lanes outrun the arm budget in the
+        // first block.  Planning stops there, so neither the planner nor
+        // the runner recurses deeper than the budget, and the scalar rerun
+        // (whose frames live on the heap) matches.
+        let (exec, spec) = geometric("0.001");
+        let (verdicts, _) = verdicts_per_block(&exec, &spec, 0xDEE9, 64, 1);
+        assert_eq!(verdicts, [EXHAUSTED]);
+        let verdicts = assert_block_matches_scalar(&exec, &spec, 64, 0xDEE9);
+        assert_eq!(verdicts, [EXHAUSTED; BLOCK_SIZES.len()]);
+    }
+
+    #[test]
+    fn budget_running_out_mid_run_keeps_every_lane() {
+        // At seeds 1 and 3 the PCFG runs out of arms in its fourth 64-lane
+        // block: three blocks ran vectorised, the fourth reruns scalar, and
+        // every lane of every block still matches scalar.
+        let (exec, spec) = pcfg();
+        for seed in [1, 3] {
+            let (verdicts, _) = verdicts_per_block(&exec, &spec, seed, 64, 5);
+            let ok = Some(Ok(()));
+            assert_eq!(verdicts, [ok, ok, ok, EXHAUSTED, EXHAUSTED], "seed {seed}");
+            assert_block_matches_scalar(&exec, &spec, 5 * 64, seed);
+        }
     }
 
     #[test]
@@ -2020,11 +2162,13 @@ mod tests {
         "#;
         let exec = executor(model, guide, vec![Sample::Real(1.4)]);
         let spec = JointSpec::new("Model", "Guide");
-        let plan = BlockPlan::compile(&exec, &spec).expect("gmm shape vectorises");
+        let mut plan = BlockPlan::new();
+        let ops = plan
+            .plan_arm(&exec, &spec, 0)
+            .expect("gmm shape vectorises");
+        assert_eq!(plan.arms.len(), 1, "gmm shape must plan to a single arm");
         assert!(
-            !plan
-                .ops
-                .iter()
+            !ops.iter()
                 .any(|op| matches!(op, Op::Fork { .. } | Op::Fail)),
             "gmm shape must be straight-line"
         );

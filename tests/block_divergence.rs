@@ -17,9 +17,17 @@
 //! The determinism goldens (`tests/determinism_goldens.rs`) separately
 //! pin that the default block size reproduces the scalar fingerprints
 //! recorded before vectorisation landed.
+//!
+//! Because a scalar fallback is invisible in results, the last test pins
+//! which path every registry model actually takes: the block executor's
+//! plan verdict.
 
+use guide_ppl::runtime::{JointExecutor, JointScratch, JointSpec};
+use guide_ppl::semantics::Value;
 use guide_ppl::{Method, Posterior, Session};
+use ppl_dist::rng::Pcg32;
 use ppl_dist::Sample;
+use ppl_models::all_benchmarks;
 
 const BLOCK_SIZES: [usize; 4] = [1, 7, 64, 256];
 const THREADS: [usize; 2] = [1, 4];
@@ -237,4 +245,78 @@ fn observation_regimes_produce_different_trace_shapes() {
     };
     assert_eq!(draws_of(-1.5, 0.3).into_iter().collect::<Vec<_>>(), [1]);
     assert_eq!(draws_of(1.5, 2.1).into_iter().collect::<Vec<_>>(), [2]);
+}
+
+/// The verdict every expressible registry model's plan reaches after
+/// 2,000 particles in 64-lane blocks.  The linearly recursive models
+/// (marsaglia, ptrace, geometric) plan one arm pair per recursion depth
+/// their lanes reach and vectorise; the tree-recursive ones (ex-2,
+/// gp-dsl) give almost every lane a path of its own and run out of arms.
+const REGISTRY_VERDICTS: [(&str, Result<(), &str>); 20] = [
+    ("lr", Ok(())),
+    ("gmm", Ok(())),
+    ("kalman", Ok(())),
+    ("sprinkler", Ok(())),
+    ("hmm", Ok(())),
+    ("branching", Ok(())),
+    ("marsaglia", Ok(())),
+    ("ptrace", Ok(())),
+    ("aircraft", Ok(())),
+    ("weight", Ok(())),
+    ("vae", Ok(())),
+    ("ex-1", Ok(())),
+    ("ex-2", Err("fork arm budget exhausted")),
+    ("gp-dsl", Err("fork arm budget exhausted")),
+    ("outlier", Ok(())),
+    ("normal-normal", Ok(())),
+    ("geometric", Ok(())),
+    ("burglary", Ok(())),
+    ("coin", Ok(())),
+    ("seasons", Ok(())),
+];
+
+#[test]
+fn registry_plan_verdicts_are_pinned() {
+    const PARTICLES: usize = 2_000;
+    const BLOCK: usize = 64;
+    let expressible: Vec<_> = all_benchmarks()
+        .into_iter()
+        .filter(|b| b.expressible)
+        .collect();
+    let names: Vec<&str> = expressible.iter().map(|b| b.name).collect();
+    let pinned: Vec<&str> = REGISTRY_VERDICTS.iter().map(|(name, _)| *name).collect();
+    assert_eq!(
+        names, pinned,
+        "the pinned table must list every expressible model"
+    );
+    for (b, (_, expected)) in expressible.iter().zip(REGISTRY_VERDICTS) {
+        let model = b.parsed_model().unwrap().unwrap();
+        let guide = b.parsed_guide().unwrap().unwrap();
+        let executor = JointExecutor::new(&model, &guide, b.observations.clone());
+        // VI guides take their variational parameters, the outlier MCMC
+        // guide the previous `is_outlier` value.
+        let guide_args = if b.name == "outlier" {
+            vec![Value::Bool(false)]
+        } else {
+            b.initial_guide_args()
+                .into_iter()
+                .map(Value::Real)
+                .collect()
+        };
+        let spec = JointSpec::new(b.model_proc, b.guide_proc).with_guide_args(guide_args);
+        let master = Pcg32::seed_from_u64(0x5EED);
+        let mut scratch = JointScratch::new();
+        assert_eq!(scratch.plan_verdict(), None, "{}: no block ran yet", b.name);
+        let mut out = Vec::with_capacity(BLOCK);
+        for first in (0..PARTICLES).step_by(BLOCK) {
+            let len = BLOCK.min(PARTICLES - first);
+            executor
+                .run_block_with_scratch(&spec, &master, first as u64, len, &mut scratch, &mut out)
+                .unwrap_or_else(|e| panic!("{}: {e}", b.name));
+            for r in out.drain(..) {
+                scratch.recycle(r.latent);
+            }
+        }
+        assert_eq!(scratch.plan_verdict(), Some(expected), "{}", b.name);
+    }
 }
