@@ -1363,6 +1363,12 @@ fn json_f64(x: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Mutex, PoisonError};
+
+    /// Held by the tests that run VI fits: `amortization_rows` proves its
+    /// warm pass ran no fit by the process-global fit counter, so a fit in
+    /// a concurrently running test must not land inside that window.
+    static VI_FITS: Mutex<()> = Mutex::new(());
 
     #[test]
     fn throughput_rows_are_bit_identical_across_thread_counts() {
@@ -1494,6 +1500,7 @@ mod tests {
 
     #[test]
     fn amortization_rows_reuse_the_fit_with_byte_identity() {
+        let _fits = VI_FITS.lock().unwrap_or_else(PoisonError::into_inner);
         let config = ThroughputConfig {
             particles: 200,
             threads: 2,
@@ -1539,6 +1546,7 @@ mod tests {
 
     #[test]
     fn bench_json_is_well_formed() {
+        let _fits = VI_FITS.lock().unwrap_or_else(PoisonError::into_inner);
         let config = ThroughputConfig {
             particles: 200,
             threads: 2,

@@ -15,25 +15,47 @@
 //!    predicate depends on lane values ends the arm in an [`Op::Fork`]
 //!    whose two arms stay *pending* stubs, holding the symbolic joint
 //!    state, until a block first routes lanes into them — the way a tracing
-//!    JIT extends its traces.  A linearly recursive model (geometric,
-//!    ptrace, marsaglia) so plans one arm pair per depth its lanes reach.
+//!    JIT extends its traces.
+//!
+//!    Where model and guide fold into a procedure pair together, the arm
+//!    ends in an [`Op::Call`] instead of inlining the callees: the pair's
+//!    body is planned once, as arms ending in [`Op::Return`], shared by
+//!    every call site and recursion level.  It is specialised on each
+//!    argument's constant value (or a lane-varying mark), plus at most one
+//!    widened specialisation per pair in which every argument varies by
+//!    lane.  The caller's rest is a pending continuation arm.  The runner
+//!    saves the caller's live slots on a stack, moves the arguments into
+//!    the callee's parameter slots, runs the callee, restores the slots
+//!    and runs the continuation, so lanes reconverge at every return and
+//!    a recursive model (geometric, ptrace, marsaglia, the Fig. 6 PCFG,
+//!    gp-dsl) plans a fixed handful of arms however deep or bushy its
+//!    recursion.  Calls that fold on one side only, and calls whose model
+//!    callee reaches the observation channel (whose position must stay a
+//!    plan-time constant), are inlined.
 //! 2. **Structure-of-arrays lanes.**  Each sample site gets one slot — a
 //!    `Vec<f64>` column holding that site's value for every lane.  Constant
 //!    distributions draw and score the whole column through the batched
 //!    kernels in `ppl_dist` ([`Distribution::sample_batch`],
 //!    [`Distribution::log_density_batch`]), which are straight-line loops
 //!    over `&[f64]` that LLVM autovectorises.
-//! 3. **Divergence.**  At a fork the active lane set splits, each arm runs
-//!    with its own sub-set (falling back to per-lane evaluation since the
-//!    column is no longer dense), and execution re-converges after the fork.
+//! 3. **Divergence.**  At a fork the active lane set splits and each arm
+//!    runs with its own sub-set (falling back to per-lane evaluation since
+//!    the column is no longer dense); the lanes re-converge at the
+//!    enclosing call's return.  Per-lane real arithmetic runs as a
+//!    compiled [`RealExpr`] rather than through the evaluator.
 //! 4. **Fallback.**  A [`BlockPlan`] holds at most [`ARM_BUDGET`] planned
-//!    arms; tree recursion (ex-2, gp-dsl) exhausts it within a few blocks.
-//!    That, or any other shape the planner cannot vectorise (closures
-//!    crossing sites, opaque per-lane distributions, the fuel and slot
-//!    guards), caches a scalar verdict ([`JointScratch::plan_verdict`]):
-//!    this block and every later one run each lane through the scalar
-//!    coroutine path with the *same* per-lane RNG substream — results are
-//!    bit-identical either way, which the determinism goldens enforce.
+//!    arms; lane-dependent branches that never reach a call or return
+//!    (arms do not reconverge after a fork) double the paths per branch
+//!    and can exhaust it.  That, or any other shape the planner cannot
+//!    vectorise (closures crossing sites or calls, opaque per-lane
+//!    distributions, callees whose model and guide sides finish apart, the
+//!    fuel and slot guards), caches a scalar verdict
+//!    ([`JointScratch::plan_verdict`]): this block and every later one run
+//!    each lane through the scalar coroutine path with the *same* per-lane
+//!    RNG substream — results are bit-identical either way, which the
+//!    determinism goldens enforce.  A block whose lanes nest deeper than
+//!    [`MAX_NESTING`] (forks plus calls) reruns scalar alone and keeps the
+//!    plan.
 //!
 //! RNG discipline: lane `i` of a block starting at global stream `s`
 //! consumes exactly `master.split(s + i)`, the same substream the scalar
@@ -49,17 +71,21 @@ use ppl_dist::{DistKind, Distribution, Sample};
 use ppl_semantics::eval::{eval_dist_in, eval_expr_in};
 use ppl_semantics::trace::{Message, Trace};
 use ppl_semantics::value::{Bindings, Value, ValueStack};
-use ppl_syntax::ast::{ChannelName, Dir, DistExpr, Expr, Ident};
+use ppl_syntax::ast::{BinOp, ChannelName, Dir, DistExpr, Expr, Ident, UnOp};
 use std::sync::Arc;
 
 /// Symbolic execution step budget per plan: bounds the total number of
 /// command steps across every arm the plan ever compiles.
 const FUEL: u32 = 50_000;
 /// Maximum number of planned arms (the entry prefix included) per plan.
-/// Also bounds the fork nesting, and so the runner's recursion depth.
 const ARM_BUDGET: usize = 64;
 /// Maximum number of lane slots (sample sites + per-lane evals) per plan.
 const MAX_SLOTS: usize = 512;
+/// Maximum runner nesting: diverged forks plus calls in flight.  The runner
+/// recurses once per level, so this bounds its stack use; sized for 2 MiB
+/// worker stacks.  A block whose lanes nest deeper reruns scalar (whose
+/// frames live on the heap) and keeps its plan.
+const MAX_NESTING: usize = 192;
 
 /// The planner cannot vectorise this program shape; the block must take the
 /// scalar path (cached — every subsequent block skips straight to scalar).
@@ -202,7 +228,175 @@ enum LaneDist {
     Ctor {
         expr: DistExpr,
         binds: Vec<(Ident, SymValue)>,
+        /// The parameters' compiled real forms, for a scalar constructor.
+        real: Option<Box<[RealExpr]>>,
     },
+}
+
+/// One instruction of a [`RealExpr`].
+#[derive(Debug, Clone, Copy)]
+enum RealOp {
+    Const(f64),
+    /// A real-carrier slot.
+    Slot(usize),
+    /// A dynamic slot; lanes whose tag is not real leave the fast path.
+    Dyn(usize),
+    Un(UnOp),
+    Bin(BinOp),
+}
+
+/// Deepest operand stack a [`RealExpr`] may need.
+const REAL_DEPTH: usize = 8;
+
+/// A per-lane expression over reals (arithmetic, `exp`/`ln`/`sqrt`, and a
+/// comparison at the root), compiled to postfix so a lane evaluates it
+/// without building an environment or boxing values.  It computes what
+/// the evaluator computes, in the same order, so results are
+/// bit-identical; any other shape keeps the evaluator.
+#[derive(Debug, Clone)]
+struct RealExpr {
+    code: Box<[RealOp]>,
+    /// The root is a comparison: the result is a Boolean, `1.0` or `0.0`.
+    boolean: bool,
+}
+
+impl RealExpr {
+    fn compile(e: &Expr, binds: &[(Ident, SymValue)], carriers: &[Carrier]) -> Option<RealExpr> {
+        fn real(
+            e: &Expr,
+            binds: &[(Ident, SymValue)],
+            carriers: &[Carrier],
+            code: &mut Vec<RealOp>,
+        ) -> Option<()> {
+            match e {
+                Expr::Real(c) => code.push(RealOp::Const(*c)),
+                Expr::Var(x) => match &binds.iter().find(|(name, _)| name == x)?.1 {
+                    SymValue::Const(Value::Real(c)) => code.push(RealOp::Const(*c)),
+                    SymValue::Slot(s) => code.push(match carriers[*s] {
+                        Carrier::Real => RealOp::Slot(*s),
+                        Carrier::Dyn => RealOp::Dyn(*s),
+                        Carrier::Bool | Carrier::Nat => return None,
+                    }),
+                    SymValue::Const(_) => return None,
+                },
+                // `real(x)` is the identity on reals.
+                Expr::UnOp(UnOp::ToReal, a) => real(a, binds, carriers, code)?,
+                Expr::UnOp(op @ (UnOp::Neg | UnOp::Exp | UnOp::Ln | UnOp::Sqrt), a) => {
+                    real(a, binds, carriers, code)?;
+                    code.push(RealOp::Un(*op));
+                }
+                Expr::BinOp(op @ (BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div), a, b) => {
+                    real(a, binds, carriers, code)?;
+                    real(b, binds, carriers, code)?;
+                    code.push(RealOp::Bin(*op));
+                }
+                _ => return None,
+            }
+            Some(())
+        }
+        let mut code = Vec::new();
+        let boolean = match e {
+            Expr::BinOp(op @ (BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge | BinOp::Eq), a, b) => {
+                real(a, binds, carriers, &mut code)?;
+                real(b, binds, carriers, &mut code)?;
+                code.push(RealOp::Bin(*op));
+                true
+            }
+            _ => {
+                real(e, binds, carriers, &mut code)?;
+                false
+            }
+        };
+        let mut depth = 0usize;
+        for op in &code {
+            depth = match op {
+                RealOp::Const(_) | RealOp::Slot(_) | RealOp::Dyn(_) => depth + 1,
+                RealOp::Un(_) => depth,
+                RealOp::Bin(_) => depth - 1,
+            };
+            if depth > REAL_DEPTH {
+                return None;
+            }
+        }
+        Some(RealExpr {
+            code: code.into(),
+            boolean,
+        })
+    }
+
+    /// The parameters of a scalar constructor, compiled.
+    fn compile_ctor(
+        d: &DistExpr,
+        binds: &[(Ident, SymValue)],
+        carriers: &[Carrier],
+    ) -> Option<Box<[RealExpr]>> {
+        if matches!(d, DistExpr::Categorical(_)) {
+            return None;
+        }
+        let args = d.args().into_iter();
+        args.map(|a| RealExpr::compile(a, binds, carriers).filter(|r| !r.boolean))
+            .collect()
+    }
+
+    /// Lane `l`'s value, or `None` where a dynamic slot holds a non-real.
+    fn eval(&self, slots: &[Vec<f64>], tags: &[Vec<u8>], l: usize) -> Option<f64> {
+        let mut stack = [0.0f64; REAL_DEPTH];
+        let mut sp = 0;
+        for op in self.code.iter() {
+            let x = match *op {
+                RealOp::Const(c) => c,
+                RealOp::Slot(s) => slots[s][l],
+                RealOp::Dyn(s) if tags[s][l] == TAG_REAL => slots[s][l],
+                RealOp::Dyn(_) => return None,
+                RealOp::Un(op) => {
+                    sp -= 1;
+                    let a = stack[sp];
+                    match op {
+                        UnOp::Neg => -a,
+                        UnOp::Exp => a.exp(),
+                        UnOp::Ln => a.ln(),
+                        UnOp::Sqrt => a.sqrt(),
+                        UnOp::Not | UnOp::ToReal => unreachable!("not compiled"),
+                    }
+                }
+                RealOp::Bin(op) => {
+                    sp -= 2;
+                    let (a, b) = (stack[sp], stack[sp + 1]);
+                    match op {
+                        BinOp::Add => a + b,
+                        BinOp::Sub => a - b,
+                        BinOp::Mul => a * b,
+                        BinOp::Div => a / b,
+                        BinOp::Lt => f64::from(a < b),
+                        BinOp::Le => f64::from(a <= b),
+                        BinOp::Gt => f64::from(a > b),
+                        BinOp::Ge => f64::from(a >= b),
+                        BinOp::Eq => f64::from(a == b),
+                        BinOp::And | BinOp::Or => unreachable!("not compiled"),
+                    }
+                }
+            };
+            stack[sp] = x;
+            sp += 1;
+        }
+        Some(stack[0])
+    }
+}
+
+/// Builds a scalar constructor from its evaluated parameters, as
+/// `eval_dist_in` does.
+fn scalar_ctor(d: &DistExpr, args: [f64; 2]) -> Result<Distribution, ppl_dist::DistError> {
+    let [a, b] = args;
+    match d {
+        DistExpr::Bernoulli(_) => Distribution::bernoulli(a),
+        DistExpr::Uniform => Ok(Distribution::uniform()),
+        DistExpr::Beta(..) => Distribution::beta(a, b),
+        DistExpr::Gamma(..) => Distribution::gamma(a, b),
+        DistExpr::Normal(..) => Distribution::normal(a, b),
+        DistExpr::Geometric(_) => Distribution::geometric(a),
+        DistExpr::Poisson(_) => Distribution::poisson(a),
+        DistExpr::Categorical(_) => unreachable!("categorical parameters are not compiled"),
+    }
 }
 
 fn class_of_dist(d: &LaneDist) -> Carrier {
@@ -219,6 +413,24 @@ enum ScoreVal {
     Sample(Sample),
     /// A lane-varying drawn value.
     Slot(usize),
+}
+
+/// A value crossing a call boundary (an argument or a return value), read
+/// per lane as a dynamic slot's `(tag, bits)` pair.
+#[derive(Debug, Clone, Copy)]
+enum LaneVal {
+    /// A constant, already encoded.
+    Const(u8, f64),
+    /// A slot, with its carrier's fixed tag (`None`: the tag column's).
+    Slot(usize, Option<u8>),
+}
+
+/// The dynamic slots a [`Op::Call`]'s callee returns its model and guide
+/// values into.
+#[derive(Debug, Clone, Copy)]
+struct Ret {
+    model: usize,
+    guide: usize,
 }
 
 /// One straight-line instruction of a block plan, applied to the active
@@ -245,6 +457,7 @@ enum Op {
         expr: Expr,
         binds: Vec<(Ident, SymValue)>,
         slot: usize,
+        real: Option<RealExpr>,
     },
     /// Record a `Fold` marker in each lane's trace.
     Fold,
@@ -256,15 +469,33 @@ enum Op {
     Fork {
         pred: Expr,
         binds: Vec<(Ident, SymValue)>,
+        real: Option<RealExpr>,
         /// `Some(provider)` when a `DirP`/`DirC` message must be recorded.
         msg: Option<bool>,
         /// Indices of the two arms in [`BlockPlan::arms`].
         then_arm: usize,
         else_arm: usize,
     },
+    /// Enter a procedure pair both coroutines folded into: save the
+    /// caller's `live` slots, move the arguments into the callee's
+    /// parameter slots (a parallel move), run the callee from arm `entry`
+    /// until it returns into `ret`, restore the saved slots, and continue
+    /// with arm `cont` on the same lanes.  Always the last op of its arm.
+    Call {
+        entry: usize,
+        moves: Vec<(usize, LaneVal)>,
+        live: Vec<usize>,
+        cont: usize,
+        ret: Ret,
+    },
     /// This path deterministically errors; rerun the block through the
     /// scalar interpreter to reproduce the exact error.
     Fail,
+    /// Terminal of a callee path: hand each lane's values to the caller.
+    Return {
+        model_value: LaneVal,
+        guide_value: LaneVal,
+    },
     /// Terminal of a path: stage each lane's result.
     Finish {
         model_value: SymValue,
@@ -273,8 +504,8 @@ enum Op {
     },
 }
 
-/// One arm of a plan: the straight-line ops from a fork (or the spawn) to
-/// the next fork, finish or fail.
+/// One arm of a plan: the straight-line ops from a fork, a call boundary
+/// or the spawn to the next fork, call, return, finish or fail.
 #[derive(Debug)]
 enum Arm {
     /// No lane has reached this arm yet.
@@ -288,6 +519,9 @@ enum Arm {
 enum PendingArm {
     /// Arm 0: both coroutines at their spawn.
     Entry,
+    /// Both coroutines ready to run: a callee pair at its entry, or a
+    /// caller's continuation once its call has returned.
+    Run(Box<SymStart>),
     /// One side of a fork: the symbolic joint state at the fork, and the
     /// selection to resume it with.
     Fork {
@@ -297,13 +531,32 @@ enum PendingArm {
     },
 }
 
+/// Per argument of a call (the model's, then the guide's): its encoded
+/// constant, or `None` where it varies by lane and arrives in a parameter
+/// slot.
+type ArgKey = Vec<Option<(u8, u64)>>;
+
+/// A procedure pair planned as its own arms, specialised on its arguments.
+#[derive(Debug)]
+struct Callee {
+    model: ProcId,
+    guide: ProcId,
+    key: ArgKey,
+    /// The pair's entry arm.
+    entry: usize,
+    /// The parameter slot of each lane-varying argument.
+    params: Vec<Option<usize>>,
+}
+
 /// A block plan: an arena of arms plus the carrier class of each slot.
-/// Arm 0 is the entry prefix; every [`Op::Fork`] names its arms by index,
-/// so extending the plan is an index write.
+/// Arm 0 is the entry prefix; every [`Op::Fork`] and [`Op::Call`] names its
+/// arms by index, so extending the plan is an index write.
 #[derive(Debug)]
 pub(crate) struct BlockPlan {
     arms: Vec<Arm>,
     carriers: Vec<Carrier>,
+    /// The procedure pairs planned so far, shared by every call site.
+    callees: Vec<Callee>,
     /// Planned arms so far, at most [`ARM_BUDGET`].
     planned: usize,
     /// Symbolic execution steps left for every arm still to be planned.
@@ -585,7 +838,13 @@ fn sym_eval(
         LazyVal::Slot(s) => Ok(SymValue::Slot(s)),
         LazyVal::Lane { expr, binds } => {
             let slot = cx.new_slot(Carrier::Dyn)?;
-            ops.push(Op::Eval { expr, binds, slot });
+            let real = RealExpr::compile(&expr, &binds, &cx.plan.carriers);
+            ops.push(Op::Eval {
+                expr,
+                binds,
+                slot,
+                real,
+            });
             Ok(SymValue::Slot(slot))
         }
     }
@@ -598,9 +857,11 @@ fn sym_eval_dist(cx: &mut PlanCx<'_>, co: &SymCo, node: &DistNode) -> Result<Lan
         DistNode::Ctor(ctor) => {
             let vars = ctor.args().into_iter().flat_map(|arg| arg.free_vars());
             if let Some(binds) = capture(cx, co, vars)? {
+                let real = RealExpr::compile_ctor(ctor, &binds, &cx.plan.carriers);
                 return Ok(LaneDist::Ctor {
                     expr: ctor.clone(),
                     binds,
+                    real,
                 });
             }
             match eval_dist_in(&mut cx.scratch, ctor) {
@@ -816,6 +1077,34 @@ struct SymJoint {
     mstep: SymStep,
     gstep: SymStep,
     obs_used: usize,
+    /// Inside a callee pair's arms: a finished path returns to its caller.
+    in_call: bool,
+}
+
+/// Both coroutines before their first drive (see [`PendingArm::Run`]).
+#[derive(Debug)]
+struct SymStart {
+    model: SymCo,
+    guide: SymCo,
+    obs_used: usize,
+    in_call: bool,
+}
+
+impl SymStart {
+    /// Drives both coroutines to their first suspension, model first, as
+    /// a spawn or a resume does.
+    fn drive(mut self, cx: &mut PlanCx<'_>, ops: &mut Vec<Op>) -> Result<SymJoint, Bail> {
+        let mstep = sym_drive(cx, &mut self.model, ops)?;
+        let gstep = sym_drive(cx, &mut self.guide, ops)?;
+        Ok(SymJoint {
+            model: self.model,
+            guide: self.guide,
+            mstep,
+            gstep,
+            obs_used: self.obs_used,
+            in_call: self.in_call,
+        })
+    }
 }
 
 /// Emits score ops for one sample site, constant-folding where possible.
@@ -870,18 +1159,15 @@ fn plan_pending(cx: &mut PlanCx<'_>, pending: PendingArm) -> Result<Vec<Op>, Bai
             if args.any(|arg| matches!(arg, Value::Closure { .. })) {
                 return Err(Bail("closure argument"));
             }
-            let mut model = sym_spawn(&exec.model_program, &spec.model_proc, &spec.model_args)?;
-            let mut guide = sym_spawn(&exec.guide_program, &spec.guide_proc, &spec.guide_args)?;
-            let mstep = sym_drive(cx, &mut model, &mut ops)?;
-            let gstep = sym_drive(cx, &mut guide, &mut ops)?;
-            SymJoint {
-                model,
-                guide,
-                mstep,
-                gstep,
+            let start = SymStart {
+                model: sym_spawn(&exec.model_program, &spec.model_proc, &spec.model_args)?,
+                guide: sym_spawn(&exec.guide_program, &spec.guide_proc, &spec.guide_args)?,
                 obs_used: 0,
-            }
+                in_call: false,
+            };
+            start.drive(cx, &mut ops)?
         }
+        PendingArm::Run(start) => start.drive(cx, &mut ops)?,
         PendingArm::Fork { mut st, sel, kind } => {
             match kind {
                 ForkKind::ModelOnly => {
@@ -918,14 +1204,271 @@ fn fork(
         let arm = PendingArm::Fork { st, sel, kind };
         cx.plan.arms.push(Arm::Pending(arm));
     }
+    let real = RealExpr::compile(&pred, &binds, &cx.plan.carriers).filter(|r| r.boolean);
     ops.push(Op::Fork {
         pred,
         binds,
+        real,
         msg,
         then_arm,
         else_arm: then_arm + 1,
     });
     ops
+}
+
+/// The procedure a coroutine suspended at a call's only fold marker is
+/// about to enter.
+fn pending_call(co: &SymCo) -> Option<ProcId> {
+    let SymControl::Await(SymPending::CallAck {
+        node,
+        next_mark,
+        callee,
+    }) = &co.control
+    else {
+        return None;
+    };
+    let CmdNode::Call { marks, .. } = co.prog.node(*node) else {
+        return None;
+    };
+    (*next_mark == marks.len()).then_some(*callee)
+}
+
+/// Whether procedure `proc`, or any procedure it calls, operates on `chan`.
+fn reaches_chan(prog: &CompiledProgram, proc: ProcId, chan: ChannelName) -> bool {
+    let mut seen = vec![false; prog.num_procs()];
+    let (mut procs, mut nodes) = (vec![proc], Vec::new());
+    while let Some(p) = procs.pop() {
+        if std::mem::replace(&mut seen[p], true) {
+            continue;
+        }
+        nodes.push(prog.proc(p).body);
+        while let Some(node) = nodes.pop() {
+            match prog.node(node) {
+                CmdNode::Ret(_) => {}
+                CmdNode::Bind { first, rest, .. } => nodes.extend([*first, *rest]),
+                CmdNode::Sample { chan: c, .. } if *c == chan => return true,
+                CmdNode::Sample { .. } => {}
+                CmdNode::Branch { chan: c, .. } if *c == chan => return true,
+                CmdNode::Branch {
+                    then_cmd, else_cmd, ..
+                } => nodes.extend([*then_cmd, *else_cmd]),
+                CmdNode::Call { marks, .. } if marks.contains(&chan) => return true,
+                CmdNode::Call { callee, .. } => {
+                    if let CalleeRef::Resolved(id) = callee {
+                        procs.push(*id);
+                    }
+                }
+            }
+        }
+    }
+    false
+}
+
+/// Pushes onto `out` every variable that command `node` or its
+/// sub-commands mention (a superset of what they read).
+fn mentioned_vars(prog: &CompiledProgram, node: CmdId, out: &mut Vec<Ident>) {
+    let mut nodes = vec![node];
+    while let Some(node) = nodes.pop() {
+        match prog.node(node) {
+            CmdNode::Ret(e) => out.extend(e.free_vars()),
+            CmdNode::Bind { first, rest, .. } => nodes.extend([*first, *rest]),
+            CmdNode::Call { args, .. } => out.extend(args.iter().flat_map(Expr::free_vars)),
+            CmdNode::Sample { dist, .. } => match dist {
+                DistNode::Const(_) => {}
+                DistNode::Ctor(d) => out.extend(d.args().into_iter().flat_map(Expr::free_vars)),
+                DistNode::Opaque(e) => out.extend(e.free_vars()),
+            },
+            CmdNode::Branch {
+                pred,
+                then_cmd,
+                else_cmd,
+                ..
+            } => {
+                out.extend(pred.iter().flat_map(Expr::free_vars));
+                nodes.extend([*then_cmd, *else_cmd]);
+            }
+        }
+    }
+}
+
+/// Pushes onto `live` the slots a coroutine suspended at a call may read
+/// once the call returns: in each continuation frame's scope, the slots of
+/// the variables its rest mentions.
+fn live_slots(co: &SymCo, live: &mut Vec<usize>) {
+    let mut vars = Vec::new();
+    for &(node, depth, base) in &co.frames {
+        let CmdNode::Bind { rest, .. } = co.prog.node(node) else {
+            continue;
+        };
+        vars.clear();
+        mentioned_vars(&co.prog, *rest, &mut vars);
+        let scope = &co.entries[base..depth];
+        for x in &vars {
+            if let Some((_, SymValue::Slot(s))) = scope.iter().rev().find(|(name, _)| name == x) {
+                live.push(*s);
+            }
+        }
+    }
+}
+
+/// The argument key of the procedure pair both coroutines fold into, or
+/// `None` when the call stays inlined: a side with a second fold marker,
+/// a model callee that reaches the observation channel (whose position
+/// must stay a plan-time constant), or an argument no slot can hold.
+fn call_key(cx: &PlanCx<'_>, st: &SymJoint) -> Option<(ProcId, ProcId, ArgKey)> {
+    let model = pending_call(&st.model)?;
+    let guide = pending_call(&st.guide)?;
+    if reaches_chan(&st.model.prog, model, cx.spec.obs_chan) {
+        return None;
+    }
+    let args = st.model.pending_args.iter().chain(&st.guide.pending_args);
+    let key = args
+        .map(|arg| match arg {
+            SymValue::Slot(_) => Some(None),
+            SymValue::Const(v) => encode_value(v).map(|(tag, x)| Some((tag, x.to_bits()))),
+        })
+        .collect::<Option<_>>()?;
+    Some((model, guide, key))
+}
+
+/// The tag a slot's carrier fixes for every lane (`None`: dynamic).
+fn carrier_tag(carrier: Carrier) -> Option<u8> {
+    match carrier {
+        Carrier::Real => Some(TAG_REAL),
+        Carrier::Bool => Some(TAG_BOOL),
+        Carrier::Nat => Some(TAG_NAT),
+        Carrier::Dyn => None,
+    }
+}
+
+/// `v` as a value that can cross a call boundary (`None`: no slot can
+/// hold it).
+fn sym_lane_val(cx: &PlanCx<'_>, v: &SymValue) -> Option<LaneVal> {
+    match v {
+        SymValue::Const(v) => encode_value(v).map(|(tag, x)| LaneVal::Const(tag, x)),
+        SymValue::Slot(s) => Some(LaneVal::Slot(*s, carrier_tag(cx.plan.carriers[*s]))),
+    }
+}
+
+/// A fresh coroutine at the body of `proc`, its parameters bound.
+fn sym_enter(co: &SymCo, proc: ProcId, binds: impl Iterator<Item = SymValue>) -> SymCo {
+    let proc = co.prog.proc(proc);
+    SymCo {
+        prog: Arc::clone(&co.prog),
+        frames: Vec::new(),
+        entries: proc.params.iter().copied().zip(binds).collect(),
+        base: 0,
+        pending_args: Vec::new(),
+        control: SymControl::Run(proc.body),
+    }
+}
+
+impl PlanCx<'_> {
+    /// The planned pair for a call keyed `key`: the exact specialisation,
+    /// else — once the pair has one — its widened specialisation in which
+    /// every argument varies by lane, planned at most once.
+    fn callee(
+        &mut self,
+        st: &SymJoint,
+        (model, guide, mut key): (ProcId, ProcId, ArgKey),
+        args: &[SymValue],
+    ) -> Result<usize, Bail> {
+        let callees = &self.plan.callees;
+        let pair = |c: &Callee| c.model == model && c.guide == guide;
+        if let Some(i) = callees.iter().position(|c| pair(c) && c.key == key) {
+            return Ok(i);
+        }
+        if callees.iter().any(pair) {
+            key.fill(None);
+            if let Some(i) = callees.iter().position(|c| pair(c) && c.key == key) {
+                return Ok(i);
+            }
+        }
+        let params = (key.iter())
+            .map(|k| k.is_none().then(|| self.new_slot(Carrier::Dyn)).transpose())
+            .collect::<Result<Vec<_>, _>>()?;
+        let mut binds = params.iter().zip(args).map(|(p, arg)| match p {
+            Some(p) => SymValue::Slot(*p),
+            None => arg.clone(),
+        });
+        let start = SymStart {
+            model: sym_enter(&st.model, model, binds.by_ref()),
+            guide: sym_enter(&st.guide, guide, binds),
+            obs_used: 0,
+            in_call: true,
+        };
+        let entry = self.plan.arms.len();
+        self.plan
+            .arms
+            .push(Arm::Pending(PendingArm::Run(Box::new(start))));
+        self.plan.callees.push(Callee {
+            model,
+            guide,
+            key,
+            entry,
+            params,
+        });
+        Ok(self.plan.callees.len() - 1)
+    }
+}
+
+/// Ends `ops` with a call into the procedure pair both coroutines fold
+/// into: the pair's arms are shared by every call site, and the caller's
+/// rest becomes a pending continuation that resumes with the returned
+/// values.
+fn call(
+    cx: &mut PlanCx<'_>,
+    mut ops: Vec<Op>,
+    mut st: SymJoint,
+    key: (ProcId, ProcId, ArgKey),
+) -> Result<Vec<Op>, Bail> {
+    let args: Vec<SymValue> = (st.model.pending_args.drain(..))
+        .chain(st.guide.pending_args.drain(..))
+        .collect();
+    let callee = cx.callee(&st, key, &args)?;
+    let callee = &cx.plan.callees[callee];
+    let entry = callee.entry;
+    let mut moves = Vec::new();
+    for (param, arg) in callee.params.iter().zip(&args) {
+        match (param, arg) {
+            (None, _) => {}
+            // A parameter passed on unchanged (the recursion's own `k`).
+            (Some(p), SymValue::Slot(s)) if p == s => {}
+            (Some(p), arg) => {
+                let src = sym_lane_val(cx, arg).expect("call keys hold encodable constants");
+                moves.push((*p, src));
+            }
+        }
+    }
+    let mut live = Vec::new();
+    live_slots(&st.model, &mut live);
+    live_slots(&st.guide, &mut live);
+    live.sort_unstable();
+    live.dedup();
+    let ret = Ret {
+        model: cx.new_slot(Carrier::Dyn)?,
+        guide: cx.new_slot(Carrier::Dyn)?,
+    };
+    st.model.control = SymControl::Return(SymValue::Slot(ret.model));
+    st.guide.control = SymControl::Return(SymValue::Slot(ret.guide));
+    let cont = cx.plan.arms.len();
+    let start = SymStart {
+        model: st.model,
+        guide: st.guide,
+        obs_used: st.obs_used,
+        in_call: st.in_call,
+    };
+    cx.plan
+        .arms
+        .push(Arm::Pending(PendingArm::Run(Box::new(start))));
+    ops.push(Op::Call {
+        entry,
+        moves,
+        live,
+        cont,
+        ret,
+    });
+    Ok(ops)
 }
 
 /// Compiles one path of the joint execution onto `ops` up to its first
@@ -941,6 +1484,14 @@ fn drive_path(cx: &mut PlanCx<'_>, mut st: SymJoint, mut ops: Vec<Op>) -> Result
             return Ok(ops);
         }
         if let (SymStep::Done(mv), SymStep::Done(gv)) = (&st.mstep, &st.gstep) {
+            if st.in_call {
+                let unencodable = Bail("unencodable value crosses a call");
+                ops.push(Op::Return {
+                    model_value: sym_lane_val(cx, mv).ok_or(unencodable)?,
+                    guide_value: sym_lane_val(cx, gv).ok_or(unencodable)?,
+                });
+                return Ok(ops);
+            }
             if st.obs_used != cx.exec.observations.len() {
                 ops.push(Op::Fail);
                 return Ok(ops);
@@ -952,6 +1503,12 @@ fn drive_path(cx: &mut PlanCx<'_>, mut st: SymJoint, mut ops: Vec<Op>) -> Result
             });
             return Ok(ops);
         }
+        // Inlined, the side that finished its callee first would run on
+        // into its caller's rest while the other is still in its callee.
+        let done = |step: &SymStep| matches!(step, SymStep::Done(_));
+        if st.in_call && (done(&st.mstep) || done(&st.gstep)) {
+            return Err(Bail("call boundary misaligned"));
+        }
 
         // The model acts alone on the observation channel.
         let obs_suspend = match &st.mstep {
@@ -959,6 +1516,9 @@ fn drive_path(cx: &mut PlanCx<'_>, mut st: SymJoint, mut ops: Vec<Op>) -> Result
             _ => None,
         };
         if let Some(suspend) = obs_suspend {
+            if st.in_call {
+                return Err(Bail("callee reaches the observation channel"));
+            }
             match suspend {
                 SymSuspend::SampleSend { dist, .. } => {
                     let Some(obs) = cx.exec.observations.get(st.obs_used).copied() else {
@@ -1112,11 +1672,15 @@ fn drive_path(cx: &mut PlanCx<'_>, mut st: SymJoint, mut ops: Vec<Op>) -> Result
                     ));
                 }
             },
-            // Both coroutines fold on the latent channel together.
+            // Both coroutines fold on the latent channel together: call
+            // the procedure pair's shared arms, or inline the callees.
             (SymSuspend::CallMarker { chan: mc }, SymSuspend::CallMarker { chan: gc })
                 if mc == latent && gc == latent =>
             {
                 ops.push(Op::Fold);
+                if let Some(key) = call_key(cx, &st) {
+                    return call(cx, ops, st, key);
+                }
                 st.mstep = sym_resume(cx, &mut st.model, SymResume::Ack, &mut ops)?;
                 st.gstep = sym_resume(cx, &mut st.guide, SymResume::Ack, &mut ops)?;
             }
@@ -1142,6 +1706,7 @@ impl BlockPlan {
         BlockPlan {
             arms: vec![Arm::Pending(PendingArm::Entry)],
             carriers: Vec::new(),
+            callees: Vec::new(),
             planned: 0,
             fuel: FUEL,
         }
@@ -1242,13 +1807,22 @@ pub(crate) struct BlockScratch {
     traces: Vec<Trace>,
     /// The dense lane identity set `0..count`.
     lanes: Vec<u32>,
-    /// Per-fork-depth partition buffers (then-lanes, else-lanes).
+    /// Per-nesting-depth partition buffers (then-lanes, else-lanes).
     fork_bufs: Vec<(Vec<u32>, Vec<u32>)>,
+    /// The caller slots saved across the calls in flight, as
+    /// `(value, tag)` per live slot per lane.
+    saved: Vec<(f64, u8)>,
+    /// One lane's call arguments during a parallel move.
+    arg_buf: Vec<(u8, f64)>,
     score_buf: Vec<f64>,
     sample_buf: Vec<Sample>,
     eval_stack: ValueStack,
     finished: Vec<Option<(Value, Value, u32)>>,
 }
+
+/// A fork predicate: the expression, its captured bindings and its
+/// compiled real form.
+type LanePred<'a> = (&'a Expr, &'a [(Ident, SymValue)], Option<&'a RealExpr>);
 
 /// The plan interpreter over the structure-of-arrays lane buffers; it
 /// plans pending arms as lanes reach them.
@@ -1264,10 +1838,16 @@ struct Runner<'p, 's> {
     guide_lw: &'s mut [f64],
     traces: &'s mut [Trace],
     fork_bufs: &'s mut Vec<(Vec<u32>, Vec<u32>)>,
+    saved: &'s mut Vec<(f64, u8)>,
+    arg_buf: &'s mut Vec<(u8, f64)>,
     score_buf: &'s mut [f64],
     sample_buf: &'s mut [Sample],
     eval_stack: &'s mut ValueStack,
     finished: &'s mut [Option<(Value, Value, u32)>],
+    /// Counters flushed to [`crate::stats`] once per block.
+    cancel_checks: u64,
+    lane_splits: u64,
+    lane_reconverges: u64,
 }
 
 /// Grows `cols` to one column per slot, each at least `count` lanes long
@@ -1331,8 +1911,7 @@ impl Runner<'_, '_> {
     fn split(
         &mut self,
         lanes: &[u32],
-        pred: &Expr,
-        binds: &[(Ident, SymValue)],
+        (pred, binds, real): LanePred<'_>,
         msg: Option<bool>,
         then_lanes: &mut Vec<u32>,
         else_lanes: &mut Vec<u32>,
@@ -1341,9 +1920,10 @@ impl Runner<'_, '_> {
         else_lanes.clear();
         for &l in lanes {
             let lu = l as usize;
-            self.bind(binds, lu)?;
-            let v = eval_expr_in(&mut *self.eval_stack, pred).map_err(|_| RunBail::Block)?;
-            let sel = v.as_bool().ok_or(RunBail::Block)?;
+            let sel = match self.eval_lane(pred, binds, real, lu)? {
+                (TAG_BOOL, x) => x == 1.0,
+                _ => return Err(RunBail::Block),
+            };
             if let Some(provider) = msg {
                 self.traces[lu].push(if provider {
                     Message::DirP(sel)
@@ -1360,181 +1940,151 @@ impl Runner<'_, '_> {
         Ok(())
     }
 
-    /// Runs arm `arm` on `lanes`, planning it first if no lane of this
-    /// worker has reached it before (new slots grow the columns in place).
-    fn run_arm(&mut self, arm: usize, lanes: &[u32], depth: usize) -> Result<(), RunBail> {
+    /// Lane `l`'s value of a per-lane expression, as `(tag, bits)`: from
+    /// its compiled real form where it has one, else from the evaluator.
+    // Forced inline, like `dist_lane`: as an out-of-line call it cost the
+    // evaluator path ~10 ns a lane (gmm and branching ~6 % per particle).
+    #[inline(always)]
+    fn eval_lane(
+        &mut self,
+        expr: &Expr,
+        binds: &[(Ident, SymValue)],
+        real: Option<&RealExpr>,
+        l: usize,
+    ) -> Result<(u8, f64), RunBail> {
+        if let Some(r) = real {
+            if let Some(x) = r.eval(self.slots, self.tags, l) {
+                return Ok((if r.boolean { TAG_BOOL } else { TAG_REAL }, x));
+            }
+        }
+        self.bind(binds, l)?;
+        let v = eval_expr_in(&mut *self.eval_stack, expr).map_err(|_| RunBail::Block)?;
+        encode_value(&v).ok_or(RunBail::Block)
+    }
+
+    /// Lane `l`'s distribution at a per-lane constructor site.
+    #[inline(always)]
+    fn dist_lane(
+        &mut self,
+        expr: &DistExpr,
+        binds: &[(Ident, SymValue)],
+        real: Option<&[RealExpr]>,
+        l: usize,
+    ) -> Result<Distribution, RunBail> {
+        if let Some(args) = real {
+            let mut xs = [0.0; 2];
+            let (slots, tags) = (&*self.slots, &*self.tags);
+            let mut args = args.iter().zip(&mut xs);
+            if args.all(|(a, x)| a.eval(slots, tags, l).map(|v| *x = v).is_some()) {
+                return scalar_ctor(expr, xs).map_err(|_| RunBail::Block);
+            }
+        }
+        self.bind(binds, l)?;
+        eval_dist_in(&mut *self.eval_stack, expr).map_err(|_| RunBail::Block)
+    }
+
+    /// Lane `l`'s `(tag, bits)` of a value crossing a call boundary.
+    fn lane_val(&self, v: LaneVal, l: usize) -> (u8, f64) {
+        match v {
+            LaneVal::Const(tag, x) => (tag, x),
+            LaneVal::Slot(s, tag) => (tag.unwrap_or(self.tags[s][l]), self.slots[s][l]),
+        }
+    }
+
+    /// Arm `arm`'s ops, planning it first if no lane of this worker has
+    /// reached it before (new slots grow the columns in place).
+    fn arm_ops(&mut self, arm: usize) -> Result<Arc<[Op]>, RunBail> {
+        if let Arm::Planned(ops) = &self.plan.arms[arm] {
+            return Ok(Arc::clone(ops));
+        }
+        let ops = (self.plan)
+            .plan_arm(self.exec, self.spec, arm)
+            .map_err(RunBail::Plan)?;
+        let nslots = self.plan.carriers.len();
+        fit_columns(self.slots, nslots, self.count);
+        fit_columns(self.tags, nslots, self.count);
+        Ok(ops)
+    }
+
+    /// The per-op cancellation poll.  A raised token bails the whole block
+    /// to the scalar path, where the per-lane entry check reports the real
+    /// error for lane 0 — without threading a second error type through
+    /// the op interpreter.  Costs two `Option` tests per op when no token
+    /// is armed.
+    fn poll(&self) -> Result<(), RunBail> {
+        #[cfg(feature = "faults")]
+        crate::faults::maybe_stall_op();
+        self.exec.cancel.check().map_err(|_| RunBail::Block)
+    }
+
+    /// Runs arm `arm` on `lanes`, then on the same lanes the arm each
+    /// terminal op continues into: a call's continuation, or the one side
+    /// of a fork every lane took.  A diverged fork's arms and a call's
+    /// callee nest one level deeper, at most [`MAX_NESTING`] levels; a
+    /// callee's paths return into `ret`.
+    fn run_arm(
+        &mut self,
+        mut arm: usize,
+        lanes: &[u32],
+        depth: usize,
+        ret: Option<Ret>,
+    ) -> Result<(), RunBail> {
         if lanes.is_empty() {
             return Ok(());
         }
-        let ops = match &self.plan.arms[arm] {
-            Arm::Planned(ops) => Arc::clone(ops),
-            Arm::Pending(_) => {
-                let ops = (self.plan)
-                    .plan_arm(self.exec, self.spec, arm)
-                    .map_err(RunBail::Plan)?;
-                let nslots = self.plan.carriers.len();
-                fit_columns(self.slots, nslots, self.count);
-                fit_columns(self.tags, nslots, self.count);
-                ops
+        if depth > MAX_NESTING {
+            return Err(RunBail::Block);
+        }
+        loop {
+            let ops = self.arm_ops(arm)?;
+            // Counted here and flushed once per block, so the per-op loop
+            // stays atomic-free.
+            self.cancel_checks += ops.len() as u64;
+            let (last, body) = ops.split_last().expect("every arm ends in a terminal op");
+            for op in body {
+                self.poll()?;
+                self.step(op, lanes)?;
             }
-        };
-        // One flush per op-list per block (amortised over every lane), so
-        // the per-op loop below stays atomic-free.
-        crate::stats::record_cancel_checks(ops.len() as u64);
-        // Batched kernels apply whenever the active set is the full dense
-        // block (possible inside a fork arm when every lane agreed).
-        let full = lanes.len() == self.count;
-        for op in ops.iter() {
-            #[cfg(feature = "faults")]
-            crate::faults::maybe_stall_op();
-            // A raised token bails the whole block to the scalar path,
-            // where the per-lane entry check reports the real error for
-            // lane 0 — without threading a second error type through the
-            // op interpreter.  Costs two `Option` tests per op when no
-            // token is armed.
-            if self.exec.cancel.check().is_err() {
-                return Err(RunBail::Block);
-            }
-            match op {
-                Op::Draw {
-                    dist,
-                    slot,
-                    provider,
-                } => match dist {
-                    LaneDist::Const(d) if full => {
-                        d.sample_batch(&mut *self.rngs, &mut *self.sample_buf);
-                        for &l in lanes {
-                            let l = l as usize;
-                            let s = self.sample_buf[l];
-                            self.record_draw(l, *slot, *provider, s);
-                        }
-                    }
-                    LaneDist::Const(d) => {
-                        for &l in lanes {
-                            let l = l as usize;
-                            let s = d.draw(&mut self.rngs[l]);
-                            self.record_draw(l, *slot, *provider, s);
-                        }
-                    }
-                    LaneDist::Ctor { expr, binds } => {
-                        for &l in lanes {
-                            let l = l as usize;
-                            self.bind(binds, l)?;
-                            let d = eval_dist_in(&mut *self.eval_stack, expr)
-                                .map_err(|_| RunBail::Block)?;
-                            let s = d.draw(&mut self.rngs[l]);
-                            self.record_draw(l, *slot, *provider, s);
-                        }
-                    }
-                },
-                Op::Score { model, dist, value } => match (dist, value) {
-                    (LaneDist::Const(d), ScoreVal::Slot(s)) => {
-                        let carrier = self.plan.carriers[*s];
-                        let lw = weights(*model, self.model_lw, self.guide_lw);
-                        if full && matches!(carrier, Carrier::Real | Carrier::Bool) {
-                            d.log_density_batch(&self.slots[*s][..self.count], self.score_buf);
-                            for &l in lanes.iter() {
-                                let l = l as usize;
-                                lw[l] += self.score_buf[l];
-                            }
-                        } else {
-                            for &l in lanes.iter() {
-                                let l = l as usize;
-                                let sample = decode_sample(carrier, self.slots[*s][l])
-                                    .ok_or(RunBail::Block)?;
-                                lw[l] += d.log_density(&sample);
-                            }
-                        }
-                    }
-                    (LaneDist::Const(d), ScoreVal::Sample(v)) => {
-                        let w = d.log_density(v);
-                        let lw = weights(*model, self.model_lw, self.guide_lw);
-                        for &l in lanes {
-                            lw[l as usize] += w;
-                        }
-                    }
-                    (LaneDist::Ctor { expr, binds }, value) => {
-                        for &l in lanes {
-                            let l = l as usize;
-                            self.bind(binds, l)?;
-                            let d = eval_dist_in(&mut *self.eval_stack, expr)
-                                .map_err(|_| RunBail::Block)?;
-                            let sample = match value {
-                                ScoreVal::Sample(v) => *v,
-                                ScoreVal::Slot(s) => {
-                                    decode_sample(self.plan.carriers[*s], self.slots[*s][l])
-                                        .ok_or(RunBail::Block)?
-                                }
-                            };
-                            weights(*model, self.model_lw, self.guide_lw)[l] +=
-                                d.log_density(&sample);
-                        }
-                    }
-                },
-                Op::ScoreConst { model, w } => {
-                    let lw = weights(*model, self.model_lw, self.guide_lw);
-                    for &l in lanes {
-                        lw[l as usize] += *w;
-                    }
-                }
-                Op::Eval { expr, binds, slot } => {
-                    for &l in lanes {
-                        let l = l as usize;
-                        self.bind(binds, l)?;
-                        let v = eval_expr_in(&mut *self.eval_stack, expr)
-                            .map_err(|_| RunBail::Block)?;
-                        let (tag, x) = encode_value(&v).ok_or(RunBail::Block)?;
-                        self.slots[*slot][l] = x;
-                        self.tags[*slot][l] = tag;
-                    }
-                }
-                Op::Fold => {
-                    for &l in lanes {
-                        self.traces[l as usize].push(Message::Fold);
-                    }
-                }
-                Op::DirConst {
-                    provider,
-                    selection,
-                } => {
-                    let m = if *provider {
-                        Message::DirP(*selection)
-                    } else {
-                        Message::DirC(*selection)
-                    };
-                    for &l in lanes {
-                        self.traces[l as usize].push(m);
-                    }
-                }
+            self.poll()?;
+            match last {
                 Op::Fork {
                     pred,
                     binds,
+                    real,
                     msg,
                     then_arm,
                     else_arm,
                 } => {
-                    if self.fork_bufs.len() <= depth {
-                        self.fork_bufs.push((Vec::new(), Vec::new()));
+                    let arms = (*then_arm, *else_arm);
+                    let pred = (pred, &binds[..], real.as_ref());
+                    match self.fork(lanes, pred, *msg, arms, depth, ret)? {
+                        Some(next) => arm = next,
+                        None => return Ok(()),
                     }
-                    let (mut then_lanes, mut else_lanes) =
-                        std::mem::take(&mut self.fork_bufs[depth]);
-                    let result = self
-                        .split(lanes, pred, binds, *msg, &mut then_lanes, &mut else_lanes)
-                        .and_then(|()| {
-                            let diverged = !then_lanes.is_empty() && !else_lanes.is_empty();
-                            if diverged {
-                                crate::stats::record_lane_split();
-                            }
-                            self.run_arm(*then_arm, &then_lanes, depth + 1)?;
-                            self.run_arm(*else_arm, &else_lanes, depth + 1)?;
-                            if diverged {
-                                crate::stats::record_lane_reconverge();
-                            }
-                            Ok(())
-                        });
-                    // The partition buffers go back even when an arm bailed.
-                    self.fork_bufs[depth] = (then_lanes, else_lanes);
-                    result?;
+                }
+                Op::Call {
+                    entry,
+                    moves,
+                    live,
+                    cont,
+                    ret: into,
+                } => {
+                    self.call(*entry, moves, live, lanes, depth, *into)?;
+                    arm = *cont;
+                }
+                Op::Return {
+                    model_value,
+                    guide_value,
+                } => {
+                    let ret = ret.expect("only callee arms return");
+                    for &l in lanes {
+                        let l = l as usize;
+                        let (mtag, mx) = self.lane_val(*model_value, l);
+                        let (gtag, gx) = self.lane_val(*guide_value, l);
+                        (self.slots[ret.model][l], self.tags[ret.model][l]) = (mx, mtag);
+                        (self.slots[ret.guide][l], self.tags[ret.guide][l]) = (gx, gtag);
+                    }
+                    return Ok(());
                 }
                 Op::Fail => return Err(RunBail::Block),
                 Op::Finish {
@@ -1548,10 +2098,221 @@ impl Runner<'_, '_> {
                         let gv = self.decode(guide_value, l)?;
                         self.finished[l] = Some((mv, gv, *obs_used));
                     }
+                    return Ok(());
+                }
+                _ => unreachable!("arms end in a terminal op"),
+            }
+        }
+    }
+
+    /// Splits `lanes` at a fork.  When every lane takes one side, returns
+    /// that arm to continue with; otherwise runs both arms one level
+    /// deeper and returns `None`.
+    fn fork(
+        &mut self,
+        lanes: &[u32],
+        pred: LanePred<'_>,
+        msg: Option<bool>,
+        (then_arm, else_arm): (usize, usize),
+        depth: usize,
+        ret: Option<Ret>,
+    ) -> Result<Option<usize>, RunBail> {
+        if self.fork_bufs.len() <= depth {
+            self.fork_bufs.resize_with(depth + 1, Default::default);
+        }
+        let (mut then_lanes, mut else_lanes) = std::mem::take(&mut self.fork_bufs[depth]);
+        let result = self
+            .split(lanes, pred, msg, &mut then_lanes, &mut else_lanes)
+            .and_then(|()| {
+                if else_lanes.is_empty() {
+                    return Ok(Some(then_arm));
+                }
+                if then_lanes.is_empty() {
+                    return Ok(Some(else_arm));
+                }
+                self.lane_splits += 1;
+                self.run_arm(then_arm, &then_lanes, depth + 1, ret)?;
+                self.run_arm(else_arm, &else_lanes, depth + 1, ret)?;
+                self.lane_reconverges += 1;
+                Ok(None)
+            });
+        // The partition buffers go back even when an arm bailed.
+        self.fork_bufs[depth] = (then_lanes, else_lanes);
+        result
+    }
+
+    /// Runs a call on `lanes`: saves the caller's `live` slots, moves the
+    /// arguments into the callee's parameter slots, runs the callee one
+    /// level deeper until it returns into `ret`, and restores the saved
+    /// slots, so the caller's continuation sees its own values again.
+    fn call(
+        &mut self,
+        entry: usize,
+        moves: &[(usize, LaneVal)],
+        live: &[usize],
+        lanes: &[u32],
+        depth: usize,
+        ret: Ret,
+    ) -> Result<(), RunBail> {
+        let base = self.saved.len();
+        for &s in live {
+            let (col, tags) = (&self.slots[s], &self.tags[s]);
+            (self.saved).extend(lanes.iter().map(|&l| (col[l as usize], tags[l as usize])));
+        }
+        // A parallel move: every argument is read before any parameter is
+        // written, since a parameter slot may also be another's source.
+        if !moves.is_empty() {
+            for &l in lanes {
+                let l = l as usize;
+                self.arg_buf.clear();
+                for &(_, src) in moves {
+                    let v = self.lane_val(src, l);
+                    self.arg_buf.push(v);
+                }
+                for (&(param, _), &(tag, x)) in moves.iter().zip(self.arg_buf.iter()) {
+                    (self.slots[param][l], self.tags[param][l]) = (x, tag);
                 }
             }
         }
+        let result = self.run_arm(entry, lanes, depth + 1, Some(ret));
+        if result.is_ok() {
+            let mut saved = self.saved[base..].iter();
+            for &s in live {
+                for (&l, &(x, tag)) in lanes.iter().zip(saved.by_ref()) {
+                    (self.slots[s][l as usize], self.tags[s][l as usize]) = (x, tag);
+                }
+            }
+        }
+        self.saved.truncate(base);
+        result
+    }
+
+    /// Applies one straight-line op to `lanes`.
+    fn step(&mut self, op: &Op, lanes: &[u32]) -> Result<(), RunBail> {
+        // Batched kernels apply whenever the active set is the full dense
+        // block (possible inside a fork arm when every lane agreed).
+        let full = lanes.len() == self.count;
+        match op {
+            Op::Draw {
+                dist,
+                slot,
+                provider,
+            } => match dist {
+                LaneDist::Const(d) if full => {
+                    d.sample_batch(&mut *self.rngs, &mut *self.sample_buf);
+                    for &l in lanes {
+                        let l = l as usize;
+                        let s = self.sample_buf[l];
+                        self.record_draw(l, *slot, *provider, s);
+                    }
+                }
+                LaneDist::Const(d) => {
+                    for &l in lanes {
+                        let l = l as usize;
+                        let s = d.draw(&mut self.rngs[l]);
+                        self.record_draw(l, *slot, *provider, s);
+                    }
+                }
+                LaneDist::Ctor { expr, binds, real } => {
+                    for &l in lanes {
+                        let l = l as usize;
+                        let d = self.dist_lane(expr, binds, real.as_deref(), l)?;
+                        let s = d.draw(&mut self.rngs[l]);
+                        self.record_draw(l, *slot, *provider, s);
+                    }
+                }
+            },
+            Op::Score { model, dist, value } => match (dist, value) {
+                (LaneDist::Const(d), ScoreVal::Slot(s)) => {
+                    let carrier = self.plan.carriers[*s];
+                    let lw = weights(*model, self.model_lw, self.guide_lw);
+                    if full && matches!(carrier, Carrier::Real | Carrier::Bool) {
+                        d.log_density_batch(&self.slots[*s][..self.count], self.score_buf);
+                        for &l in lanes.iter() {
+                            let l = l as usize;
+                            lw[l] += self.score_buf[l];
+                        }
+                    } else {
+                        for &l in lanes.iter() {
+                            let l = l as usize;
+                            let sample =
+                                decode_sample(carrier, self.slots[*s][l]).ok_or(RunBail::Block)?;
+                            lw[l] += d.log_density(&sample);
+                        }
+                    }
+                }
+                (LaneDist::Const(d), ScoreVal::Sample(v)) => {
+                    let w = d.log_density(v);
+                    let lw = weights(*model, self.model_lw, self.guide_lw);
+                    for &l in lanes {
+                        lw[l as usize] += w;
+                    }
+                }
+                (LaneDist::Ctor { expr, binds, real }, value) => {
+                    for &l in lanes {
+                        let l = l as usize;
+                        let d = self.dist_lane(expr, binds, real.as_deref(), l)?;
+                        let sample = match value {
+                            ScoreVal::Sample(v) => *v,
+                            ScoreVal::Slot(s) => {
+                                decode_sample(self.plan.carriers[*s], self.slots[*s][l])
+                                    .ok_or(RunBail::Block)?
+                            }
+                        };
+                        weights(*model, self.model_lw, self.guide_lw)[l] += d.log_density(&sample);
+                    }
+                }
+            },
+            Op::ScoreConst { model, w } => {
+                let lw = weights(*model, self.model_lw, self.guide_lw);
+                for &l in lanes {
+                    lw[l as usize] += *w;
+                }
+            }
+            Op::Eval {
+                expr,
+                binds,
+                slot,
+                real,
+            } => {
+                for &l in lanes {
+                    let l = l as usize;
+                    let (tag, x) = self.eval_lane(expr, binds, real.as_ref(), l)?;
+                    (self.slots[*slot][l], self.tags[*slot][l]) = (x, tag);
+                }
+            }
+            Op::Fold => {
+                for &l in lanes {
+                    self.traces[l as usize].push(Message::Fold);
+                }
+            }
+            Op::DirConst {
+                provider,
+                selection,
+            } => {
+                let m = if *provider {
+                    Message::DirP(*selection)
+                } else {
+                    Message::DirC(*selection)
+                };
+                for &l in lanes {
+                    self.traces[l as usize].push(m);
+                }
+            }
+            Op::Fork { .. }
+            | Op::Call { .. }
+            | Op::Fail
+            | Op::Return { .. }
+            | Op::Finish { .. } => unreachable!("terminal ops end their arm"),
+        }
         Ok(())
+    }
+
+    /// Flushes the block's counters to the process-global [`crate::stats`].
+    fn flush_stats(&self) {
+        crate::stats::record_cancel_checks(self.cancel_checks);
+        crate::stats::record_lane_splits(self.lane_splits);
+        crate::stats::record_lane_reconverges(self.lane_reconverges);
     }
 }
 
@@ -1563,12 +2324,23 @@ impl JointScratch {
     /// The block executor's verdict on the program this scratch last ran
     /// blocks of: `None` before any block ran, `Some(Ok(()))` while its
     /// cached plan vectorises, and `Some(Err(reason))` once the plan gave
-    /// up (for example `"fork arm budget exhausted"` on tree recursion)
+    /// up (for example `"fork arm budget exhausted"` when lane-dependent
+    /// branches fan out into more paths than the arm budget)
     /// and every block runs through the scalar path.  Results are
     /// bit-identical either way; the verdict only says which path ran.
     pub fn plan_verdict(&self) -> Option<Result<(), &'static str>> {
         let (_, plan) = self.block.cache.as_ref()?;
         Some(plan.as_ref().map(|_| ()).map_err(|bail| bail.0))
+    }
+
+    /// How many arms the cached plan has planned so far, while it
+    /// vectorises (`None` otherwise): a plan grows with the program's
+    /// paths, never with recursion depth.
+    pub fn planned_arms(&self) -> Option<usize> {
+        match &self.block.cache {
+            Some((_, Ok(plan))) => Some(plan.planned),
+            _ => None,
+        }
     }
 }
 
@@ -1704,12 +2476,20 @@ impl JointExecutor {
                 guide_lw: &mut bs.guide_lw[..count],
                 traces: &mut bs.traces[..count],
                 fork_bufs: &mut bs.fork_bufs,
+                saved: &mut bs.saved,
+                arg_buf: &mut bs.arg_buf,
                 score_buf: &mut bs.score_buf[..count],
                 sample_buf: &mut bs.sample_buf[..count],
                 eval_stack: &mut bs.eval_stack,
                 finished: &mut bs.finished[..count],
+                cancel_checks: 0,
+                lane_splits: 0,
+                lane_reconverges: 0,
             };
-            runner.run_arm(0, &bs.lanes, 0)?;
+            let result = runner.run_arm(0, &bs.lanes, 0, None);
+            // Once per block, also when the block bails.
+            runner.flush_stats();
+            result?;
         }
 
         // Every lane must have reached a `Finish`; verify before touching
@@ -1954,7 +2734,7 @@ mod tests {
     }
 
     /// The Fig. 6 PCFG (the registry's ex-2): tree recursion, so almost
-    /// every lane takes a fork path of its own.
+    /// every lane takes a call path of its own.
     fn pcfg() -> (JointExecutor, JointSpec) {
         let model = r#"
             proc Pcfg() : real consume latent {
@@ -2029,61 +2809,411 @@ mod tests {
         (verdicts, scratch)
     }
 
+    /// The cached plan of `scratch`.
+    fn cached_plan(scratch: &JointScratch) -> &BlockPlan {
+        match &scratch.block.cache {
+            Some((_, Ok(plan))) => plan,
+            other => panic!("no vectorised plan is cached: {other:?}"),
+        }
+    }
+
+    const OK: Option<Result<(), &str>> = Some(Ok(()));
+
     #[test]
     fn linear_recursion_vectorises_and_matches() {
-        // Data-dependent recursion depth: each level ends in a fork whose
-        // arms are planned the first time lanes reach them, so the counter
-        // vectorises end to end — still bit-identical.
+        // Data-dependent recursion depth: the step procedure pair is
+        // planned once as a callee whose arms every level shares, so the
+        // plan stays the same size however deep the lanes recurse.
         let (exec, spec) = geometric("0.5");
         let verdicts = assert_block_matches_scalar(&exec, &spec, 200, 0x5EED);
-        assert_eq!(verdicts, [Some(Ok(())); BLOCK_SIZES.len()]);
+        assert_eq!(verdicts, [OK; BLOCK_SIZES.len()]);
         let (verdicts, scratch) = verdicts_per_block(&exec, &spec, 0x5EED, 64, 4);
-        assert_eq!(verdicts, [Some(Ok(())); 4]);
-        let Some((_, Ok(plan))) = &scratch.block.cache else {
-            panic!("the plan must be cached");
-        };
+        assert_eq!(verdicts, [OK; 4]);
+        let planned = cached_plan(&scratch).planned;
+        assert!(planned <= 8, "planned {planned} arms");
+        let (_, scratch) = verdicts_per_block(&exec, &spec, 0x5EED, 64, 32);
+        assert_eq!(cached_plan(&scratch).planned, planned);
+    }
+
+    #[test]
+    fn tree_recursion_vectorises_and_matches() {
+        // Two calls per node: lanes at the same point of the procedure body
+        // share its arms whatever tree they are in, and reconverge at every
+        // return.
+        let (exec, spec) = pcfg();
+        let verdicts = assert_block_matches_scalar(&exec, &spec, 400, 0x5EED);
+        assert_eq!(verdicts, [OK; BLOCK_SIZES.len()]);
+        for seed in 1..=3 {
+            let (verdicts, scratch) = verdicts_per_block(&exec, &spec, seed, 64, 32);
+            assert_eq!(verdicts, [OK; 32], "seed {seed}");
+            let plan = cached_plan(&scratch);
+            assert!(plan.planned <= 8, "seed {seed}: planned {}", plan.planned);
+            assert_eq!(plan.callees.len(), 1, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn deep_recursion_past_the_nesting_guard_reruns_scalar() {
+        // Expected depth 1,000: most blocks hold a lane deeper than the
+        // nesting guard.  On a 2 MiB thread the runner must not overflow;
+        // those blocks rerun scalar (whose frames live on the heap), match,
+        // and keep the plan.
+        let deep = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| {
+                let (exec, spec) = geometric("0.001");
+                let verdicts = assert_block_matches_scalar(&exec, &spec, 64, 0xDEE9);
+                assert_eq!(verdicts, [OK; BLOCK_SIZES.len()]);
+                let master = Pcg32::seed_from_u64(0xDEE9);
+                let (mut scratch, mut out) = (JointScratch::new(), Vec::new());
+                exec.run_block_with_scratch(&spec, &master, 0, 64, &mut scratch, &mut out)
+                    .expect("runs");
+                assert_eq!(scratch.plan_verdict(), OK);
+                out.iter()
+                    .map(|r| {
+                        r.latent
+                            .messages()
+                            .iter()
+                            .filter(|m| **m == Message::Fold)
+                            .count()
+                    })
+                    .max()
+                    .unwrap_or(0)
+            })
+            .expect("spawns");
+        let deepest = deep.join().expect("no stack overflow");
         assert!(
-            plan.planned > 8,
-            "lanes must reach several recursion levels, planned {}",
-            plan.planned
+            deepest > MAX_NESTING,
+            "the guard must fire: depth {deepest}"
         );
     }
 
-    #[test]
-    fn unbounded_recursion_bails_to_scalar_and_matches() {
-        // Tree recursion: almost every lane takes a path of its own, the
-        // arm budget runs out, the plan caches the scalar verdict, and
-        // every later block takes the scalar path — still bit-identical.
-        let (exec, spec) = pcfg();
-        let verdicts = assert_block_matches_scalar(&exec, &spec, 400, 0x5EED);
-        assert_eq!(verdicts, [EXHAUSTED; BLOCK_SIZES.len()]);
-    }
-
-    #[test]
-    fn deep_linear_recursion_exhausts_the_budget_in_its_first_block() {
-        // Expected depth 1,000: the lanes outrun the arm budget in the
-        // first block.  Planning stops there, so neither the planner nor
-        // the runner recurses deeper than the budget, and the scalar rerun
-        // (whose frames live on the heap) matches.
-        let (exec, spec) = geometric("0.001");
-        let (verdicts, _) = verdicts_per_block(&exec, &spec, 0xDEE9, 64, 1);
-        assert_eq!(verdicts, [EXHAUSTED]);
-        let verdicts = assert_block_matches_scalar(&exec, &spec, 64, 0xDEE9);
-        assert_eq!(verdicts, [EXHAUSTED; BLOCK_SIZES.len()]);
+    /// Seven chained lane-dependent branches: arms never reconverge after a
+    /// fork, so the paths double per branch (2^7) and outgrow the budget.
+    fn chained_branches() -> (JointExecutor, JointSpec) {
+        let (mut model, mut guide) = (String::new(), String::new());
+        for i in 0..7 {
+            model += &format!(
+                "let u{i} <- sample recv latent (Unif);
+                 let b{i} <- if send latent (u{i} < 0.5) {{ return 1.0 }} else {{ return 0.0 }};"
+            );
+            guide += &format!(
+                "let u{i} <- sample send latent (Unif);
+                 let _ <- if recv latent {{ return () }} else {{ return () }};"
+            );
+        }
+        let model = format!(
+            "proc Chain() : real consume latent provide obs {{ {model}
+               let _ <- sample send obs (Normal(b0 + b3 + b6, 1.0)); return b0 + b1 }}"
+        );
+        let guide = format!("proc ChainGuide() provide latent {{ {guide} return () }}");
+        let exec = executor(&model, &guide, vec![Sample::Real(1.5)]);
+        (exec, JointSpec::new("Chain", "ChainGuide"))
     }
 
     #[test]
     fn budget_running_out_mid_run_keeps_every_lane() {
-        // At seeds 1 and 3 the PCFG runs out of arms in its fourth 64-lane
-        // block: three blocks ran vectorised, the fourth reruns scalar, and
-        // every lane of every block still matches scalar.
-        let (exec, spec) = pcfg();
-        for seed in [1, 3] {
-            let (verdicts, _) = verdicts_per_block(&exec, &spec, seed, 64, 5);
-            let ok = Some(Ok(()));
-            assert_eq!(verdicts, [ok, ok, ok, EXHAUSTED, EXHAUSTED], "seed {seed}");
-            assert_block_matches_scalar(&exec, &spec, 5 * 64, seed);
+        // In 8-lane blocks at seeds 1 and 5 the chain runs out of arms in
+        // its third block: two blocks ran vectorised, the third reruns
+        // scalar, and every lane of every block still matches scalar.
+        let (exec, spec) = chained_branches();
+        for seed in [1, 5] {
+            let (verdicts, _) = verdicts_per_block(&exec, &spec, seed, 8, 5);
+            assert_eq!(
+                verdicts,
+                [OK, OK, EXHAUSTED, EXHAUSTED, EXHAUSTED],
+                "seed {seed}"
+            );
+            assert_block_matches_scalar(&exec, &spec, 5 * 8, seed);
         }
+        let verdicts = assert_block_matches_scalar(&exec, &spec, 300, 7);
+        assert_eq!(verdicts[2..], [EXHAUSTED, EXHAUSTED]);
+    }
+
+    #[test]
+    fn mutual_recursion_shares_two_callee_pairs() {
+        // Even calls Odd calls Even: two procedure pairs, the first entered
+        // with a constant argument, then widened once it recurses with a
+        // lane value.
+        let model = r#"
+            proc Mutual() : real consume latent provide obs {
+              let x <- call Even(0.0);
+              let _ <- sample send obs (Normal(x, 1.0));
+              return x
+            }
+            proc Even(acc : real) : real consume latent {
+              let u <- sample recv latent (Unif);
+              if send latent (u < 0.3) {
+                return acc
+              } else {
+                let r <- call Odd(acc + u);
+                return r
+              }
+            }
+            proc Odd(acc : real) : real consume latent {
+              let v <- sample recv latent (Normal(acc, 1.0));
+              if send latent (v < 0.5) {
+                return acc
+              } else {
+                let r <- call Even(acc - v);
+                return r * 2.0
+              }
+            }
+        "#;
+        let guide = r#"
+            proc MutualGuide() provide latent {
+              let _ <- call EvenGuide();
+              return ()
+            }
+            proc EvenGuide() provide latent {
+              let u <- sample send latent (Unif);
+              if recv latent {
+                return ()
+              } else {
+                let _ <- call OddGuide();
+                return ()
+              }
+            }
+            proc OddGuide() provide latent {
+              let v <- sample send latent (Normal(0.0, 2.0));
+              if recv latent {
+                return ()
+              } else {
+                let _ <- call EvenGuide();
+                return ()
+              }
+            }
+        "#;
+        let exec = executor(model, guide, vec![Sample::Real(0.7)]);
+        let spec = JointSpec::new("Mutual", "MutualGuide");
+        let verdicts = assert_block_matches_scalar(&exec, &spec, 500, 0x0DD);
+        assert_eq!(verdicts, [OK; BLOCK_SIZES.len()]);
+        let (_, scratch) = verdicts_per_block(&exec, &spec, 0x0DD, 64, 8);
+        let keys: Vec<_> = cached_plan(&scratch)
+            .callees
+            .iter()
+            .map(|c| c.key.iter().map(Option::is_some).collect::<Vec<_>>())
+            .collect();
+        assert_eq!(keys, [vec![true], vec![false], vec![false]]);
+    }
+
+    #[test]
+    fn swapped_arguments_move_in_parallel() {
+        // `call F(b, a, …)` writes each parameter slot from the other: a
+        // sequential copy would read an already-overwritten source.
+        let model = r#"
+            proc Swap() : real consume latent provide obs {
+              let x <- call F(1.0, 2.0, 0.0);
+              let _ <- sample send obs (Normal(x, 5.0));
+              return x
+            }
+            proc F(a : real, b : real, n : real) : real consume latent {
+              let u <- sample recv latent (Normal(a - b, 1.0));
+              if send latent (u < 0.0) {
+                return a * 10.0 + b + n
+              } else {
+                let r <- call F(b, a, n + 1.0);
+                return r
+              }
+            }
+        "#;
+        let guide = r#"
+            proc SwapGuide() provide latent {
+              let _ <- call FGuide();
+              return ()
+            }
+            proc FGuide() provide latent {
+              let u <- sample send latent (Normal(0.0, 2.0));
+              if recv latent {
+                return ()
+              } else {
+                let _ <- call FGuide();
+                return ()
+              }
+            }
+        "#;
+        let exec = executor(model, guide, vec![Sample::Real(14.0)]);
+        let spec = JointSpec::new("Swap", "SwapGuide");
+        let verdicts = assert_block_matches_scalar(&exec, &spec, 400, 0x5A9);
+        assert_eq!(verdicts, [OK; BLOCK_SIZES.len()]);
+        let (_, scratch) = verdicts_per_block(&exec, &spec, 0x5A9, 64, 4);
+        let widened = &cached_plan(&scratch).callees[1];
+        assert_eq!(widened.key, [None, None, None]);
+    }
+
+    #[test]
+    fn callee_returns_constants_and_lane_values_of_any_carrier() {
+        // The callee returns a constant on one arm and a lane value on the
+        // others — a real slot or a natural-number slot — so the caller's
+        // arithmetic meets both tags in one dynamic slot: compiled real
+        // expressions take the real lanes and leave the rest to the
+        // evaluator.
+        let model = r#"
+            proc Model() : real consume latent provide obs {
+              let x <- call Pick();
+              let y <- return x * 2.0;
+              let _ <- sample send obs (Normal(y, 1.0));
+              return y
+            }
+            proc Pick() : real consume latent {
+              let u <- sample recv latent (Unif);
+              if send latent (u < 0.5) {
+                return 7.0
+              } else {
+                let k <- sample recv latent (Pois(3.0));
+                if send latent (k < 2) {
+                  return u
+                } else {
+                  return k
+                }
+              }
+            }
+        "#;
+        let guide = r#"
+            proc Guide() provide latent {
+              let g <- call PickGuide();
+              return g
+            }
+            proc PickGuide() provide latent {
+              let u <- sample send latent (Unif);
+              if recv latent {
+                return ()
+              } else {
+                let k <- sample send latent (Pois(2.0));
+                if recv latent {
+                  return ()
+                } else {
+                  return k
+                }
+              }
+            }
+        "#;
+        let exec = executor(model, guide, vec![Sample::Real(6.0)]);
+        let spec = JointSpec::new("Model", "Guide");
+        let verdicts = assert_block_matches_scalar(&exec, &spec, 300, 0xC0);
+        assert_eq!(verdicts, [OK; BLOCK_SIZES.len()]);
+    }
+
+    #[test]
+    fn real_expressions_compile_only_what_they_reproduce() {
+        let (u, k, d) = (Ident::new("u"), Ident::new("k"), Ident::new("d"));
+        let carriers = [Carrier::Real, Carrier::Nat, Carrier::Dyn];
+        let binds = [
+            (u, SymValue::Slot(0)),
+            (k, SymValue::Slot(1)),
+            (d, SymValue::Slot(2)),
+        ];
+        let compiles = |src: &str| {
+            let e = ppl_syntax::parse_expr(src).expect("parses");
+            RealExpr::compile(&e, &binds, &carriers).map(|r| r.boolean)
+        };
+        assert_eq!(compiles("u < 0.5 + 0.5 * d"), Some(true));
+        assert_eq!(compiles("sqrt(-2.0 * ln(u) / d)"), Some(false));
+        // Naturals add as naturals, and Booleans are not reals.
+        assert_eq!(compiles("k + 1.0"), None);
+        assert_eq!(compiles("u < 1.0 && d < 1.0"), None);
+        assert_eq!(compiles("if u < 0.5 then u else d"), None);
+        // A dynamic slot holding a natural leaves the fast path.
+        let r = RealExpr::compile(
+            &ppl_syntax::parse_expr("d * 2.0").unwrap(),
+            &binds,
+            &carriers,
+        )
+        .expect("compiles");
+        let slots = vec![vec![0.25], vec![0.0], vec![f64::from_bits(3)]];
+        assert_eq!(r.eval(&slots, &[vec![0], vec![0], vec![TAG_NAT]], 0), None);
+        let slots = vec![vec![0.25], vec![0.0], vec![1.5]];
+        assert_eq!(
+            r.eval(&slots, &[vec![0], vec![0], vec![TAG_REAL]], 0),
+            Some(3.0)
+        );
+    }
+
+    #[test]
+    fn per_level_constant_argument_widens_once() {
+        // ptrace passes `k + 1.0`, a new constant at every level: the pair
+        // is planned exactly for its first call and once widened, so the
+        // plan stays small.
+        let model = r#"
+            proc Ptrace() : real consume latent provide obs {
+              let k <- call PtraceHelper(exp(-(4.0)), 0.0, 1.0);
+              let _ <- sample send obs (Normal(k, 0.1));
+              return k
+            }
+            proc PtraceHelper(l : preal, k : real, p : preal) : real consume latent {
+              let u <- sample recv latent (Unif);
+              if send latent (p * u <= l) {
+                return k
+              } else {
+                let r <- call PtraceHelper(l, k + 1.0, p * u);
+                return r
+              }
+            }
+        "#;
+        let guide = r#"
+            proc PtraceGuide() provide latent {
+              let _ <- call PtraceHelperGuide();
+              return ()
+            }
+            proc PtraceHelperGuide() provide latent {
+              let u <- sample send latent (Unif);
+              if recv latent {
+                return ()
+              } else {
+                let _ <- call PtraceHelperGuide();
+                return ()
+              }
+            }
+        "#;
+        let exec = executor(model, guide, vec![Sample::Real(4.0)]);
+        let spec = JointSpec::new("Ptrace", "PtraceGuide");
+        let verdicts = assert_block_matches_scalar(&exec, &spec, 300, 0x97);
+        assert_eq!(verdicts, [OK; BLOCK_SIZES.len()]);
+        let (verdicts, scratch) = verdicts_per_block(&exec, &spec, 0x97, 64, 2_000 / 64);
+        assert!(verdicts.iter().all(|v| *v == OK));
+        let plan = cached_plan(&scratch);
+        assert_eq!(plan.callees.len(), 2);
+        assert!(plan.planned <= 12, "planned {}", plan.planned);
+    }
+
+    #[test]
+    fn callee_reaching_the_observation_channel_stays_inlined() {
+        // `Inner` declares only the latent channel, but the helper it calls
+        // sends on `obs`: the observation index must stay a plan-time
+        // constant, so both calls are inlined as before.
+        let model = r#"
+            proc Model() : real consume latent provide obs {
+              let x <- call Inner(0.5);
+              let y <- call Inner(x);
+              return x + y
+            }
+            proc Inner(m : real) : real consume latent {
+              let u <- sample recv latent (Normal(m, 1.0));
+              let _ <- call Emit(u);
+              return u
+            }
+            proc Emit(u : real) : unit provide obs {
+              let _ <- sample send obs (Normal(u, 1.0));
+              return ()
+            }
+        "#;
+        let guide = r#"
+            proc Guide() provide latent {
+              let _ <- call InnerGuide();
+              let _ <- call InnerGuide();
+              return ()
+            }
+            proc InnerGuide() provide latent {
+              let u <- sample send latent (Normal(0.0, 2.0));
+              return ()
+            }
+        "#;
+        let exec = executor(model, guide, vec![Sample::Real(0.2), Sample::Real(-0.4)]);
+        let spec = JointSpec::new("Model", "Guide");
+        let verdicts = assert_block_matches_scalar(&exec, &spec, 300, 0x0B5);
+        assert_eq!(verdicts, [OK; BLOCK_SIZES.len()]);
+        let (_, scratch) = verdicts_per_block(&exec, &spec, 0x0B5, 64, 2);
+        assert!(cached_plan(&scratch).callees.is_empty());
     }
 
     #[test]

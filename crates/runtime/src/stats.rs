@@ -39,10 +39,13 @@ pub fn cancel_checks() -> u64 {
     CANCEL_CHECKS.load(Ordering::Relaxed)
 }
 
-/// Record one lane split: a vectorised block hit a branch whose
-/// predicate diverged, partitioning live lanes into both arms.
-pub fn record_lane_split() {
-    LANE_SPLITS.fetch_add(1, Ordering::Relaxed);
+/// Record `n` lane splits: a vectorised block hit a branch whose
+/// predicate diverged, partitioning live lanes into both arms.  Call
+/// once per block with the block's count.
+pub fn record_lane_splits(n: u64) {
+    if n > 0 {
+        LANE_SPLITS.fetch_add(n, Ordering::Relaxed);
+    }
 }
 
 /// Total lane splits since process start.
@@ -50,10 +53,13 @@ pub fn lane_splits() -> u64 {
     LANE_SPLITS.load(Ordering::Relaxed)
 }
 
-/// Record one lane re-convergence: both arms of a diverged branch
-/// completed and the lanes rejoined lockstep execution.
-pub fn record_lane_reconverge() {
-    LANE_RECONVERGES.fetch_add(1, Ordering::Relaxed);
+/// Record `n` lane re-convergences: both arms of a diverged branch
+/// completed and the lanes rejoined lockstep execution.  Call once per
+/// block with the block's count.
+pub fn record_lane_reconverges(n: u64) {
+    if n > 0 {
+        LANE_RECONVERGES.fetch_add(n, Ordering::Relaxed);
+    }
 }
 
 /// Total lane re-convergences since process start.
@@ -73,9 +79,8 @@ mod tests {
         record_cancel_checks(0);
         assert_eq!(cancel_checks(), c0, "zero-count flush is free");
         record_cancel_checks(17);
-        record_lane_split();
-        record_lane_split();
-        record_lane_reconverge();
+        record_lane_splits(2);
+        record_lane_reconverges(1);
         assert!(cancel_checks() >= c0 + 17);
         assert!(lane_splits() >= s0 + 2);
         assert!(lane_reconverges() > r0);

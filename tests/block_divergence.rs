@@ -18,12 +18,13 @@
 //! pin that the default block size reproduces the scalar fingerprints
 //! recorded before vectorisation landed.
 //!
-//! Because a scalar fallback is invisible in results, the last test pins
-//! which path every registry model actually takes: the block executor's
-//! plan verdict.
+//! Because a scalar fallback is invisible in results, one test pins which
+//! path every registry model actually takes: the block executor's plan
+//! verdict.  The last re-scores the recursive models' block runs with the
+//! paper's reference semantics, the big-step `Evaluator`.
 
 use guide_ppl::runtime::{JointExecutor, JointScratch, JointSpec};
-use guide_ppl::semantics::Value;
+use guide_ppl::semantics::{Evaluator, Message, Trace, Value};
 use guide_ppl::{Method, Posterior, Session};
 use ppl_dist::rng::Pcg32;
 use ppl_dist::Sample;
@@ -248,10 +249,9 @@ fn observation_regimes_produce_different_trace_shapes() {
 }
 
 /// The verdict every expressible registry model's plan reaches after
-/// 2,000 particles in 64-lane blocks.  The linearly recursive models
-/// (marsaglia, ptrace, geometric) plan one arm pair per recursion depth
-/// their lanes reach and vectorise; the tree-recursive ones (ex-2,
-/// gp-dsl) give almost every lane a path of its own and run out of arms.
+/// 2,000 particles in 64-lane blocks: all vectorise.  The recursive ones
+/// (marsaglia, ptrace, ex-2, gp-dsl, geometric) plan each procedure pair
+/// they recurse through once, as call/return arms every level shares.
 const REGISTRY_VERDICTS: [(&str, Result<(), &str>); 20] = [
     ("lr", Ok(())),
     ("gmm", Ok(())),
@@ -265,8 +265,8 @@ const REGISTRY_VERDICTS: [(&str, Result<(), &str>); 20] = [
     ("weight", Ok(())),
     ("vae", Ok(())),
     ("ex-1", Ok(())),
-    ("ex-2", Err("fork arm budget exhausted")),
-    ("gp-dsl", Err("fork arm budget exhausted")),
+    ("ex-2", Ok(())),
+    ("gp-dsl", Ok(())),
     ("outlier", Ok(())),
     ("normal-normal", Ok(())),
     ("geometric", Ok(())),
@@ -318,5 +318,67 @@ fn registry_plan_verdicts_are_pinned() {
             }
         }
         assert_eq!(scratch.plan_verdict(), Some(expected), "{}", b.name);
+        // Plans grow with the program's paths, not with recursion depth.
+        let planned = scratch.planned_arms().expect("vectorised");
+        assert!(planned <= 16, "{}: {planned} planned arms", b.name);
+    }
+}
+
+#[test]
+fn recursive_block_runs_match_the_reference_semantics() {
+    // Every lane's recorded latent trace, re-scored by the big-step
+    // evaluator: the model consumes it and provides the observations, the
+    // guide provides it.  Both log-weights and the model's value must agree
+    // with the block run to a relative 1e-12 (they are sums of the same
+    // terms, possibly associated differently).
+    const PARTICLES: usize = 2_000;
+    const BLOCK: usize = 64;
+    let close = |a: f64, b: f64| a == b || (a - b).abs() <= 1e-12 * a.abs().max(b.abs());
+    for name in ["geometric", "marsaglia", "ptrace", "ex-2", "gp-dsl"] {
+        let b = all_benchmarks()
+            .into_iter()
+            .find(|b| b.name == name)
+            .expect("registry model");
+        let model = b.parsed_model().unwrap().unwrap();
+        let guide = b.parsed_guide().unwrap().unwrap();
+        let executor = JointExecutor::new(&model, &guide, b.observations.clone());
+        let spec = JointSpec::new(b.model_proc, b.guide_proc);
+        let master = Pcg32::seed_from_u64(0x5E_4A);
+        let (mut scratch, mut lanes) = (JointScratch::new(), Vec::with_capacity(PARTICLES));
+        for first in (0..PARTICLES).step_by(BLOCK) {
+            let len = BLOCK.min(PARTICLES - first);
+            executor
+                .run_block_with_scratch(&spec, &master, first as u64, len, &mut scratch, &mut lanes)
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
+        }
+        assert_eq!(scratch.plan_verdict(), Some(Ok(())), "{name} vectorises");
+        let (model_eval, guide_eval) = (Evaluator::new(&model), Evaluator::new(&guide));
+        let obs = Trace::from_messages(b.observations.iter().map(|&o| Message::ValP(o)).collect());
+        for (i, r) in lanes.iter().enumerate() {
+            let m = model_eval
+                .run_proc(&b.model_proc.into(), &[], &r.latent, &obs)
+                .unwrap_or_else(|e| panic!("{name} lane {i}: model: {e}"));
+            let g = guide_eval
+                .run_proc(&b.guide_proc.into(), &[], &Trace::new(), &r.latent)
+                .unwrap_or_else(|e| panic!("{name} lane {i}: guide: {e}"));
+            assert!(
+                close(m.log_weight, r.log_model),
+                "{name} lane {i}: log_model {} vs reference {}",
+                r.log_model,
+                m.log_weight
+            );
+            assert!(
+                close(g.log_weight, r.log_guide),
+                "{name} lane {i}: log_guide {} vs reference {}",
+                r.log_guide,
+                g.log_weight
+            );
+            match (&m.value, &r.model_value) {
+                (Value::Real(a), Value::Real(b)) => {
+                    assert!(close(*a, *b), "{name} lane {i}: value {b} vs reference {a}")
+                }
+                (a, b) => assert_eq!(a, b, "{name} lane {i}: model value"),
+            }
+        }
     }
 }
