@@ -45,7 +45,7 @@ use ppl_inference::{
     Draw, Engine, ImportanceResult, ImportanceSampler, IndependenceMh, McmcResult, ParamSpec,
     Posterior, VariationalInference, ViConfig, ViPosterior, ViResult, DEFAULT_BLOCK,
 };
-use ppl_runtime::{CancelToken, JointExecutor, JointSpec};
+use ppl_runtime::{CancelToken, JointExecutor, JointSpec, RunCounts};
 use ppl_semantics::value::Value;
 use ppl_store::{Artifact, ObsLit};
 use ppl_types::obs::{validate_observations, ObsValue, ObsViolation};
@@ -290,6 +290,10 @@ impl Posterior for PosteriorResult {
 
     fn diagnostics(&self) -> Vec<(String, f64)> {
         self.inner().diagnostics()
+    }
+
+    fn counts(&self) -> RunCounts {
+        self.inner().counts()
     }
 }
 
@@ -702,6 +706,7 @@ impl Query {
             params: artifact.params.clone(),
             names: artifact.schema.iter().map(|p| p.name.clone()).collect(),
             elbo_trace,
+            counts: RunCounts::default(),
         };
         Ok(PosteriorResult::Vi(ViPosterior { fit, draws }))
     }

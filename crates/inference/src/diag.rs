@@ -1,13 +1,15 @@
 //! Run-level inference-quality diagnostics.
 //!
-//! [`Diagnostics`] is the typed view of what an engine knows about the
-//! quality of one run — the figures the serving tier surfaces per
-//! request (behind `"diagnostics": true`) and folds into its
-//! engine-quality gauges.  The engine-side fields are assembled from
-//! [`Posterior`](crate::Posterior) by the provided
-//! [`diag`](crate::Posterior::diag) method; the runtime-counter fields
-//! are `None` until a caller that measured counter deltas around the run
-//! (the serving layer) fills them in.
+//! [`Diagnostics`] is the typed view of what an engine knows about one
+//! run — the figures the serving tier surfaces per request (behind
+//! `"diagnostics": true`) and folds into its engine-quality gauges.  The
+//! provided [`diag`](crate::Posterior::diag) method assembles it from the
+//! [`Posterior`](crate::Posterior): the quality figures from the labelled
+//! diagnostics, the executor counts from the run's own
+//! [`RunCounts`](ppl_runtime::RunCounts).  Every engine carries those in
+//! its result (each worker's scratch counts a block, and the engine moves
+//! the block's counts into the result), so the counts are exact per run
+//! even while other runs execute concurrently.
 
 /// Typed run-quality figures for one posterior.
 #[derive(Debug, Clone, PartialEq)]
@@ -30,21 +32,24 @@ pub struct Diagnostics {
     /// at most the last eight optimisation steps).  A flat tail means
     /// the fit converged; a climbing one means it was stopped short.
     pub elbo_tail: Vec<f64>,
-    /// Vectorised-executor lane splits during the run (delta, filled by
-    /// callers that measured `ppl_runtime::stats` around the run).
-    pub lane_splits: Option<u64>,
-    /// Lane re-convergences during the run (delta, see `lane_splits`).
-    pub lane_reconverges: Option<u64>,
-    /// Cooperative deadline polls during the run (delta, see
-    /// `lane_splits`).
-    pub cancel_checks: Option<u64>,
+    /// Forks of the vectorised executor whose lanes diverged in this run.
+    pub lane_splits: u64,
+    /// Diverged forks whose lanes rejoined in this run.
+    pub lane_reconverges: u64,
+    /// Cooperative deadline polls in this run.
+    pub cancel_checks: u64,
+    /// Lanes this run executed through the scalar fallback (the block
+    /// plan gave up, or a block nested past the executor's guard); zero
+    /// when every block vectorised.
+    pub scalar_lanes: u64,
 }
 
 #[cfg(test)]
 mod tests {
     use crate::importance::{ImportanceResult, ParticleColumns};
     use crate::mcmc::McmcResult;
-    use crate::Posterior;
+    use crate::{Posterior, ViPosterior, ViResult};
+    use ppl_runtime::RunCounts;
 
     #[test]
     fn importance_diag_carries_ess_and_evidence() {
@@ -53,6 +58,11 @@ mod tests {
             normalized_weights: Some(Vec::new()),
             ess: 12.5,
             log_evidence: -3.25,
+            counts: RunCounts {
+                cancel_checks: 17,
+                scalar_lanes: 3,
+                ..RunCounts::default()
+            },
         };
         let diag = result.diag();
         assert_eq!(diag.method, "IS");
@@ -61,7 +71,8 @@ mod tests {
         assert_eq!(diag.acceptance_rate, None);
         assert_eq!(diag.final_elbo, None);
         assert!(diag.elbo_tail.is_empty());
-        assert_eq!(diag.cancel_checks, None);
+        assert_eq!(diag.cancel_checks, 17);
+        assert_eq!(diag.scalar_lanes, 3);
     }
 
     #[test]
@@ -69,10 +80,47 @@ mod tests {
         let result = McmcResult {
             chain: Vec::new(),
             acceptance_rate: 0.42,
+            counts: RunCounts {
+                cancel_checks: 9,
+                ..RunCounts::default()
+            },
         };
         let diag = result.diag();
         assert_eq!(diag.method, "MCMC");
         assert_eq!(diag.acceptance_rate, Some(0.42));
         assert_eq!(diag.log_evidence, None);
+        assert_eq!(diag.cancel_checks, 9);
+        assert_eq!(diag.lane_splits, 0);
+    }
+
+    #[test]
+    fn vi_diag_sums_the_fit_and_draw_counts() {
+        let counts = |n: u64| RunCounts {
+            cancel_checks: n,
+            lane_splits: n,
+            lane_reconverges: n,
+            scalar_lanes: n,
+        };
+        let posterior = ViPosterior {
+            fit: ViResult {
+                params: Vec::new(),
+                names: Vec::new(),
+                elbo_trace: Vec::new(),
+                counts: counts(5),
+            },
+            draws: ImportanceResult {
+                particles: ParticleColumns::default(),
+                normalized_weights: None,
+                ess: 0.0,
+                log_evidence: 0.0,
+                counts: counts(2),
+            },
+        };
+        let diag = posterior.diag();
+        assert_eq!(
+            (diag.cancel_checks, diag.lane_splits, diag.lane_reconverges),
+            (7, 7, 7)
+        );
+        assert_eq!(diag.scalar_lanes, 7);
     }
 }

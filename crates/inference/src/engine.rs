@@ -22,6 +22,7 @@
 //! regardless of which thread finished first.
 
 use ppl_dist::rng::Pcg32;
+use ppl_runtime::RunCounts;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -48,6 +49,29 @@ impl<T: Send> BlockSink for Vec<T> {
 
     fn append(&mut self, later: &mut Self) {
         Vec::append(self, later);
+    }
+}
+
+/// Per-worker executor counts: workers' sums add up to the run's.
+impl BlockSink for RunCounts {
+    fn with_capacity(_: usize) -> Self {
+        RunCounts::default()
+    }
+
+    fn append(&mut self, later: &mut Self) {
+        *self += std::mem::take(later);
+    }
+}
+
+/// Two sinks filled side by side, e.g. results plus their [`RunCounts`].
+impl<A: BlockSink, B: BlockSink> BlockSink for (A, B) {
+    fn with_capacity(jobs: usize) -> Self {
+        (A::with_capacity(jobs), B::with_capacity(jobs))
+    }
+
+    fn append(&mut self, later: &mut Self) {
+        self.0.append(&mut later.0);
+        self.1.append(&mut later.1);
     }
 }
 

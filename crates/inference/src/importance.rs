@@ -13,7 +13,7 @@ use crate::posterior::{Draw, Posterior};
 use ppl_dist::rng::Pcg32;
 use ppl_dist::stats::{effective_sample_size, normalize_log_weights, Histogram};
 use ppl_dist::Sample;
-use ppl_runtime::{JointExecutor, JointResult, JointScratch, JointSpec, RuntimeError};
+use ppl_runtime::{JointExecutor, JointResult, JointScratch, JointSpec, RunCounts, RuntimeError};
 
 /// Default lockstep block size for the particle loop: large enough to
 /// amortise op dispatch and fill the batched density kernels, small enough
@@ -121,6 +121,8 @@ pub struct ImportanceResult {
     /// The log of the average unnormalised weight — an estimate of the log
     /// model evidence `log p(σ_o)`.
     pub log_evidence: f64,
+    /// What the block executor did during this run.
+    pub counts: RunCounts,
 }
 
 impl ImportanceResult {
@@ -202,7 +204,7 @@ impl ImportanceSampler {
     ) -> Result<ImportanceResult, RuntimeError> {
         crate::counters::record_joint_executions(self.num_particles);
         let engine = Engine::new(self.num_threads);
-        let particles = engine.run_particle_blocks_with(
+        let (particles, counts) = engine.run_particle_blocks_with(
             self.num_particles,
             self.block.max(1),
             rng,
@@ -211,7 +213,7 @@ impl ImportanceSampler {
              master,
              first,
              len,
-             out: &mut ParticleColumns|
+             (out, counts): &mut (ParticleColumns, RunCounts)|
              -> Result<(), RuntimeError> {
                 joints.clear();
                 // `run_block_with_scratch` polls the executor's cancel
@@ -220,6 +222,7 @@ impl ImportanceSampler {
                 // the engine's lowest-index early-abort then stops the
                 // remaining workers.
                 executor.run_block_with_scratch(spec, master, first, len, scratch, joints)?;
+                *counts += scratch.take_counts();
                 // Copy each lane into the columns and hand its trace buffer
                 // straight back, so the next block refills the pool instead
                 // of allocating.
@@ -246,6 +249,7 @@ impl ImportanceSampler {
             normalized_weights,
             ess,
             log_evidence,
+            counts,
         })
     }
 }
@@ -313,6 +317,42 @@ mod tests {
             expected_log_evidence
         );
         assert!(result.ess > 10_000.0, "ess {}", result.ess);
+    }
+
+    #[test]
+    fn scalar_fallback_lanes_surface_in_the_diagnostics() {
+        // Seven chained lane-dependent branches plan 2^7 paths, which
+        // outgrow the block plan's arm budget in the third 8-lane block at
+        // seed 1: that block and the two after it rerun scalar.
+        let (mut model, mut guide) = (String::new(), String::new());
+        for i in 0..7 {
+            model += &format!(
+                "let u{i} <- sample recv latent (Unif);
+                 let b{i} <- if send latent (u{i} < 0.5) {{ return 1.0 }} else {{ return 0.0 }};"
+            );
+            guide += &format!(
+                "let u{i} <- sample send latent (Unif);
+                 let _ <- if recv latent {{ return () }} else {{ return () }};"
+            );
+        }
+        let model = format!(
+            "proc Chain() : real consume latent provide obs {{ {model}
+               let _ <- sample send obs (Normal(b0 + b3 + b6, 1.0)); return b0 + b1 }}"
+        );
+        let guide = format!("proc ChainGuide() provide latent {{ {guide} return () }}");
+        let exec = JointExecutor::new(
+            &parse_program(&model).unwrap(),
+            &parse_program(&guide).unwrap(),
+            vec![Sample::Real(1.5)],
+        );
+        let spec = JointSpec::new("Chain", "ChainGuide");
+        let result = ImportanceSampler::new(40)
+            .with_block(8)
+            .run(&exec, &spec, &mut Pcg32::seed_from_u64(1))
+            .unwrap();
+        let diag = result.diag();
+        assert_eq!(diag.scalar_lanes, 3 * 8);
+        assert!(diag.lane_splits > 0 && diag.cancel_checks > 0, "{diag:?}");
     }
 
     #[test]
@@ -388,6 +428,7 @@ mod tests {
             normalized_weights: Some(vec![0.5, 0.3, 0.2]),
             ess: 3.0,
             log_evidence: 0.0,
+            counts: RunCounts::default(),
         };
         // All defined: the plain weighted mean.
         let all = result.expectation(&|d| d.value).unwrap();
@@ -409,6 +450,7 @@ mod tests {
             normalized_weights: Some(vec![1.0, 0.0]),
             ess: 1.0,
             log_evidence: 0.0,
+            counts: RunCounts::default(),
         };
         assert!(degenerate
             .expectation(&|d| {
@@ -422,6 +464,7 @@ mod tests {
             normalized_weights: None,
             ess: 0.0,
             log_evidence: f64::NEG_INFINITY,
+            counts: RunCounts::default(),
         };
         assert!(zero.expectation(&|d| d.value).is_none());
     }

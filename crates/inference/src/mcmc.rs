@@ -21,7 +21,7 @@
 
 use ppl_dist::rng::Pcg32;
 use ppl_dist::Sample;
-use ppl_runtime::{JointExecutor, JointScratch, JointSpec, LatentSource, RuntimeError};
+use ppl_runtime::{JointExecutor, JointScratch, JointSpec, LatentSource, RunCounts, RuntimeError};
 use ppl_semantics::trace::Trace;
 use ppl_semantics::value::Value;
 
@@ -43,6 +43,9 @@ pub struct McmcResult {
     pub chain: Vec<ChainState>,
     /// Fraction of proposals accepted.
     pub acceptance_rate: f64,
+    /// What the executor did during the chain: one deadline poll per
+    /// proposal.
+    pub counts: RunCounts,
 }
 
 impl McmcResult {
@@ -135,11 +138,13 @@ impl IndependenceMh {
                 });
             }
         }
-        // Flush the per-proposal cancellation polls once per run.
-        ppl_runtime::stats::record_cancel_checks(proposals as u64);
         Ok(McmcResult {
             chain,
             acceptance_rate: accepted as f64 / proposals.max(1) as f64,
+            counts: RunCounts {
+                cancel_checks: proposals as u64,
+                ..RunCounts::default()
+            },
         })
     }
 }
@@ -248,11 +253,13 @@ impl<'f> GuidedMh<'f> {
                 });
             }
         }
-        // Flush the per-proposal cancellation polls once per run.
-        ppl_runtime::stats::record_cancel_checks(proposals as u64);
         Ok(McmcResult {
             chain,
             acceptance_rate: accepted as f64 / proposals.max(1) as f64,
+            counts: RunCounts {
+                cancel_checks: proposals as u64,
+                ..RunCounts::default()
+            },
         })
     }
 }

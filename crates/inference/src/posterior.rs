@@ -29,6 +29,7 @@ use crate::mcmc::McmcResult;
 use crate::vi::ViResult;
 use ppl_dist::stats::Histogram;
 use ppl_dist::Sample;
+use ppl_runtime::RunCounts;
 
 /// One weighted posterior draw.
 #[derive(Debug, Clone, Copy)]
@@ -186,10 +187,13 @@ pub trait Posterior {
     /// rate, final ELBO, fitted parameters, …).
     fn diagnostics(&self) -> Vec<(String, f64)>;
 
+    /// What the executor did producing this posterior, counted per run.
+    fn counts(&self) -> RunCounts;
+
     /// Typed run-quality figures, assembled from the labelled
-    /// [`diagnostics`](Posterior::diagnostics) plus the run-level
-    /// accessors.  Runtime-counter fields start as `None`; callers that
-    /// measured `ppl_runtime::stats` deltas around the run fill them in.
+    /// [`diagnostics`](Posterior::diagnostics), the run-level accessors
+    /// and this run's own [`counts`](Posterior::counts) — exact whatever
+    /// else the process runs concurrently.
     fn diag(&self) -> crate::diag::Diagnostics {
         let labelled = self.diagnostics();
         let find = |key: &str| {
@@ -207,6 +211,7 @@ pub trait Posterior {
             })
             .collect();
         elbo_tail.sort_by_key(|(i, _)| *i);
+        let counts = self.counts();
         crate::diag::Diagnostics {
             method: self.method(),
             num_draws: self.num_draws(),
@@ -215,9 +220,10 @@ pub trait Posterior {
             acceptance_rate: find("acceptance_rate"),
             final_elbo: find("final_elbo"),
             elbo_tail: elbo_tail.into_iter().map(|(_, v)| v).collect(),
-            lane_splits: None,
-            lane_reconverges: None,
-            cancel_checks: None,
+            lane_splits: counts.lane_splits,
+            lane_reconverges: counts.lane_reconverges,
+            cancel_checks: counts.cancel_checks,
+            scalar_lanes: counts.scalar_lanes,
         }
     }
 
@@ -328,6 +334,10 @@ impl Posterior for ImportanceResult {
             ("log_evidence".into(), self.log_evidence),
         ]
     }
+
+    fn counts(&self) -> RunCounts {
+        self.counts
+    }
 }
 
 impl Posterior for McmcResult {
@@ -364,6 +374,10 @@ impl Posterior for McmcResult {
             ("kept_states".into(), self.chain.len() as f64),
             ("acceptance_rate".into(), self.acceptance_rate),
         ]
+    }
+
+    fn counts(&self) -> RunCounts {
+        self.counts
     }
 }
 
@@ -425,6 +439,14 @@ impl Posterior for ViPosterior {
         }
         out
     }
+
+    /// The fit's mini-batches plus the draw pass (an artifact-warm
+    /// posterior ran no fit, so only its draws count).
+    fn counts(&self) -> RunCounts {
+        let mut counts = self.fit.counts;
+        counts += self.draws.counts;
+        counts
+    }
 }
 
 #[cfg(test)]
@@ -432,6 +454,7 @@ mod tests {
     use super::*;
     use crate::importance::ParticleColumns;
     use crate::mcmc::ChainState;
+    use ppl_runtime::RunCounts;
     use ppl_semantics::trace::Trace;
 
     fn is_result(values_weights: &[(f64, f64)]) -> ImportanceResult {
@@ -444,6 +467,7 @@ mod tests {
             normalized_weights: Some(values_weights.iter().map(|&(_, w)| w).collect()),
             ess: values_weights.len() as f64,
             log_evidence: -1.0,
+            counts: RunCounts::default(),
         }
     }
 
@@ -473,6 +497,7 @@ mod tests {
             normalized_weights: None,
             ess: 0.0,
             log_evidence: f64::NEG_INFINITY,
+            counts: RunCounts::default(),
         };
         let mut count = 0;
         r.for_each_draw(&mut |_| count += 1);
@@ -488,6 +513,7 @@ mod tests {
             normalized_weights: None,
             ess: 0.0,
             log_evidence: f64::NEG_INFINITY,
+            counts: RunCounts::default(),
         };
         assert_eq!(degenerate.num_draws(), 0);
     }
@@ -544,6 +570,7 @@ mod tests {
         let r = McmcResult {
             chain,
             acceptance_rate: 0.5,
+            counts: RunCounts::default(),
         };
         assert_eq!(r.method(), "MCMC");
         assert_eq!(r.num_draws(), 4);
@@ -564,6 +591,7 @@ mod tests {
                 params: vec![7.0, 0.5],
                 names: vec!["mu".into(), "sigma".into()],
                 elbo_trace: vec![-10.0, -2.0],
+                counts: RunCounts::default(),
             },
             draws: is_result(&[(6.9, 0.5), (7.1, 0.5)]),
         };
@@ -586,6 +614,7 @@ mod tests {
                 log_model: 0.0,
             }],
             acceptance_rate: 1.0,
+            counts: RunCounts::default(),
         };
         let posteriors: Vec<&dyn Posterior> = vec![&is, &mh];
         for p in posteriors {

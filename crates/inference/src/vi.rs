@@ -24,7 +24,7 @@ use crate::importance::DEFAULT_BLOCK;
 use ppl_dist::rng::Pcg32;
 use ppl_dist::Sample;
 use ppl_runtime::{
-    JointExecutor, JointResult, JointScratch, JointSpec, LatentSource, RuntimeError,
+    JointExecutor, JointResult, JointScratch, JointSpec, LatentSource, RunCounts, RuntimeError,
 };
 use ppl_semantics::value::Value;
 
@@ -102,6 +102,8 @@ pub struct ViResult {
     pub names: Vec<String>,
     /// ELBO estimate per iteration (the optimisation trajectory).
     pub elbo_trace: Vec<f64>,
+    /// What the block executor did drawing the fit's mini-batches.
+    pub counts: RunCounts,
 }
 
 impl ViResult {
@@ -202,6 +204,7 @@ impl VariationalInference {
         );
         let mut adam = Adam::new(dim, self.config.learning_rate);
         let mut elbo_trace = Vec::with_capacity(self.config.iterations);
+        let mut counts = RunCounts::default();
         let engine = Engine::new(self.config.num_threads);
 
         for _ in 0..self.config.iterations {
@@ -216,7 +219,7 @@ impl VariationalInference {
             // executor, fanned out over the worker threads with one RNG
             // substream per lane.  The traces are retained (the gradient
             // stage replays them), so only the coroutine stacks recycle here.
-            let batch = engine.run_particle_blocks_with(
+            let (batch, batch_counts) = engine.run_particle_blocks_with(
                 self.config.samples_per_iteration,
                 self.config.block.max(1),
                 rng,
@@ -225,11 +228,12 @@ impl VariationalInference {
                  master,
                  first,
                  len,
-                 out: &mut Vec<(f64, ppl_semantics::trace::Trace)>|
+                 (out, counts): &mut (Vec<(f64, ppl_semantics::trace::Trace)>, RunCounts)|
                  -> Result<(), RuntimeError> {
                     joints.clear();
                     executor
                         .run_block_with_scratch(&run_spec, master, first, len, scratch, joints)?;
+                    *counts += scratch.take_counts();
                     for joint in joints.drain(..) {
                         let f = joint.log_model - joint.log_guide;
                         out.push((if f.is_finite() { f } else { -1e6 }, joint.latent));
@@ -237,6 +241,7 @@ impl VariationalInference {
                     Ok(())
                 },
             )?;
+            counts += batch_counts;
             let (fs, traces): (Vec<f64>, Vec<_>) = batch.into_iter().unzip();
             let baseline = fs.iter().sum::<f64>() / fs.len() as f64;
             elbo_trace.push(baseline);
@@ -291,6 +296,7 @@ impl VariationalInference {
             params: constrain(&theta, param_specs),
             names: param_specs.iter().map(|p| p.name.clone()).collect(),
             elbo_trace,
+            counts,
         })
     }
 }
@@ -511,6 +517,11 @@ mod tests {
         for (a, b) in seq.elbo_trace.iter().zip(&par.elbo_trace) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
+        assert!(seq.counts.cancel_checks > 0);
+        assert_eq!(
+            seq.counts, par.counts,
+            "a plan that never bails counts alike"
+        );
         for (a, b) in seq.params.iter().zip(&par.params) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
@@ -561,6 +572,7 @@ mod tests {
             params: vec![1.0, 2.0],
             names: vec!["a".into(), "b".into()],
             elbo_trace: vec![-10.0, -5.0, -1.0],
+            counts: RunCounts::default(),
         };
         assert_eq!(r.param("b"), Some(2.0));
         assert_eq!(r.param("c"), None);
@@ -569,6 +581,7 @@ mod tests {
             params: vec![],
             names: vec![],
             elbo_trace: vec![],
+            counts: RunCounts::default(),
         };
         assert_eq!(empty.final_elbo(), f64::NEG_INFINITY);
     }

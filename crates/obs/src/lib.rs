@@ -10,8 +10,10 @@
 //!   no clock and allocates nothing, which is what lets the engine hot
 //!   loop carry span calls for free when tracing is off (proved by the
 //!   repository's `alloc_budget` test).
-//! * [`trace`] — the [`Recorder`]: per-(route, phase) lock-free latency
-//!   histograms, a bounded ring buffer of the last N completed request
+//! * [`trace`] — the [`Recorder`]: per-(route, phase) lock-free log₂
+//!   latency histograms plus one handler-time histogram per route (the
+//!   source of every latency figure `/metrics` serves, traced or not), a
+//!   bounded ring buffer of the last N completed request
 //!   traces (behind `GET /v1/trace`), and engine-quality gauges (minimum
 //!   ESS seen, worst acceptance rate).
 //! * [`log`] — leveled structured logging: one JSON object per line on
@@ -32,4 +34,4 @@ pub mod span;
 pub mod trace;
 
 pub use span::{Phase, Span, NUM_PHASES, PHASES};
-pub use trace::{CompletedTrace, PhaseStat, Recorder, RoutePhaseStats};
+pub use trace::{CompletedTrace, PhaseStat, Recorder, RoutePhaseStats, HIST_BINS};

@@ -1,5 +1,6 @@
 //! The [`Recorder`]: ambient per-request traces, per-(route, phase)
-//! latency histograms, a bounded ring of completed traces, and
+//! latency histograms, one handler-time histogram per route (recorded on
+//! every request, traced or not), a bounded ring of completed traces, and
 //! engine-quality gauges.
 //!
 //! The ambient trace is thread-local, which matches the serving stack's
@@ -17,14 +18,13 @@ use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
-use std::time::Instant;
 
 use crate::span::{Phase, NUM_PHASES};
 
-/// Number of power-of-two latency bins per (route, phase) histogram.
-/// Bin `i` covers `[2^i, 2^(i+1))` nanoseconds; bin 39 tops out above
-/// nine minutes, far beyond any serving deadline.
-const HIST_BINS: usize = 40;
+/// Number of power-of-two latency bins per histogram.  Bin `i` covers
+/// `[2^i, 2^(i+1))` nanoseconds (bin 0 also holds zero); the last bin,
+/// from about nine minutes up, is open-ended.
+pub const HIST_BINS: usize = 40;
 
 /// FNV-1a 64-bit hash over a sequence of byte slices, with a length
 /// marker between parts so `("ab", "c")` and `("a", "bc")` differ.
@@ -52,7 +52,6 @@ pub fn request_hash(parts: &[&[u8]]) -> u64 {
 /// Ambient trace state for the current thread.
 struct ActiveTrace {
     id: String,
-    started: Instant,
     phase_nanos: [u64; NUM_PHASES],
     engine: Vec<(String, f64)>,
     notes: Vec<(&'static str, String)>,
@@ -179,21 +178,75 @@ pub struct CompletedTrace {
     pub seq: u64,
 }
 
-/// Latency summary for one (route, phase) histogram.
-#[derive(Debug, Clone, Copy)]
+/// A snapshot of one log₂ latency histogram: a (route, phase) cell or a
+/// route's handler-time cell.
+///
+/// Count, sum and max are exact.  A quantile is read from the bins: for
+/// samples of at least 1 ns, the nearest-rank quantile `true` and the
+/// reported [`quantile_nanos`](PhaseStat::quantile_nanos) satisfy
+/// `true ≤ reported ≤ min(2 × true, max)` — the upper edge of the bin
+/// holding the rank, clamped at the exact maximum.  Snapshots of
+/// different cells [`merge`](PhaseStat::merge) exactly, bin by bin.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PhaseStat {
-    /// Number of recorded samples.
+    /// Samples per bin; bin `i` counts samples in `[2^i, 2^(i+1))` ns.
+    pub bins: [u64; HIST_BINS],
+    /// Number of recorded samples (the sum of `bins`).
     pub count: u64,
     /// Sum of recorded nanoseconds (for means).
     pub sum_nanos: u64,
     /// Maximum recorded nanoseconds (exact).
     pub max_nanos: u64,
-    /// Estimated 50th percentile in nanoseconds (bin upper bound).
-    pub p50_nanos: u64,
-    /// Estimated 90th percentile in nanoseconds (bin upper bound).
-    pub p90_nanos: u64,
-    /// Estimated 99th percentile in nanoseconds (bin upper bound).
-    pub p99_nanos: u64,
+}
+
+impl Default for PhaseStat {
+    fn default() -> PhaseStat {
+        PhaseStat {
+            bins: [0; HIST_BINS],
+            count: 0,
+            sum_nanos: 0,
+            max_nanos: 0,
+        }
+    }
+}
+
+impl PhaseStat {
+    /// The `q`-quantile in nanoseconds (see the bound above); zero when
+    /// empty.
+    pub fn quantile_nanos(&self, q: f64) -> u64 {
+        let target = ((self.count as f64) * q).ceil().max(1.0) as u64;
+        let mut cumulative = 0u64;
+        for (i, &weight) in self.bins.iter().enumerate() {
+            cumulative += weight;
+            if cumulative >= target {
+                let upper = if i + 1 < HIST_BINS {
+                    1u64 << (i + 1)
+                } else {
+                    u64::MAX
+                };
+                return upper.min(self.max_nanos);
+            }
+        }
+        self.max_nanos
+    }
+
+    /// Mean in nanoseconds; zero when empty.
+    pub fn mean_nanos(&self) -> f64 {
+        if self.count == 0 {
+            return 0.0;
+        }
+        self.sum_nanos as f64 / self.count as f64
+    }
+
+    /// Folds `other` into this snapshot, bin by bin.
+    pub fn merge(&mut self, other: &PhaseStat) {
+        for (bin, &add) in self.bins.iter_mut().zip(&other.bins) {
+            *bin += add;
+        }
+        self.count += other.count;
+        self.sum_nanos = self.sum_nanos.saturating_add(other.sum_nanos);
+        self.max_nanos = self.max_nanos.max(other.max_nanos);
+    }
 }
 
 /// Per-route phase summaries with at least one sample.
@@ -205,10 +258,9 @@ pub struct RoutePhaseStats {
     pub phases: Vec<(Phase, PhaseStat)>,
 }
 
-/// One (route, phase) histogram cell: log₂ bins + count/sum/max.
+/// One histogram cell: log₂ bins plus sum and max, as relaxed atomics.
 struct HistCell {
     bins: [AtomicU64; HIST_BINS],
-    count: AtomicU64,
     sum: AtomicU64,
     max: AtomicU64,
 }
@@ -217,35 +269,28 @@ impl HistCell {
     fn new() -> HistCell {
         HistCell {
             bins: [const { AtomicU64::new(0) }; HIST_BINS],
-            count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
             max: AtomicU64::new(0),
         }
     }
 
     fn record(&self, nanos: u64) {
-        let bin = bin_index(nanos);
-        self.bins[bin].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
+        self.bins[bin_index(nanos)].fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(nanos, Ordering::Relaxed);
         self.max.fetch_max(nanos, Ordering::Relaxed);
     }
 
     fn stat(&self) -> PhaseStat {
-        let count = self.count.load(Ordering::Relaxed);
-        let mut snapshot = [0u64; HIST_BINS];
-        for (slot, bin) in snapshot.iter_mut().zip(self.bins.iter()) {
-            *slot = bin.load(Ordering::Relaxed);
-        }
-        let total: u64 = snapshot.iter().sum();
-        PhaseStat {
-            count,
+        let mut stat = PhaseStat {
             sum_nanos: self.sum.load(Ordering::Relaxed),
             max_nanos: self.max.load(Ordering::Relaxed),
-            p50_nanos: quantile(&snapshot, total, 0.50),
-            p90_nanos: quantile(&snapshot, total, 0.90),
-            p99_nanos: quantile(&snapshot, total, 0.99),
+            ..PhaseStat::default()
+        };
+        for (slot, bin) in stat.bins.iter_mut().zip(self.bins.iter()) {
+            *slot = bin.load(Ordering::Relaxed);
         }
+        stat.count = stat.bins.iter().sum();
+        stat
     }
 }
 
@@ -253,23 +298,6 @@ impl HistCell {
 fn bin_index(nanos: u64) -> usize {
     let n = nanos.max(1);
     ((63 - n.leading_zeros()) as usize).min(HIST_BINS - 1)
-}
-
-/// Conservative quantile: upper bound of the bin containing the target
-/// rank, in nanoseconds.  Zero when the histogram is empty.
-fn quantile(bins: &[u64; HIST_BINS], total: u64, q: f64) -> u64 {
-    if total == 0 {
-        return 0;
-    }
-    let target = ((total as f64) * q).ceil().max(1.0) as u64;
-    let mut cumulative = 0u64;
-    for (i, &weight) in bins.iter().enumerate() {
-        cumulative += weight;
-        if cumulative >= target {
-            return 1u64 << (i + 1).min(63);
-        }
-    }
-    1u64 << 63
 }
 
 /// Gauge that tracks the minimum `f64` observed, atomically.
@@ -319,14 +347,17 @@ impl MinGauge {
 
 /// The process-wide flight recorder.
 ///
-/// Owns the per-(route, phase) histogram matrix, the ring of completed
-/// traces, and the engine-quality gauges.  One `Recorder` is shared (via
-/// `Arc`) between the request handler and the transport layer.
+/// Owns the per-(route, phase) histogram matrix, the per-route
+/// handler-time histograms, the ring of completed traces, and the
+/// engine-quality gauges.  One `Recorder` is shared (via `Arc`) between
+/// the request handler and the transport layer.
 pub struct Recorder {
     routes: &'static [&'static str],
     enabled: AtomicBool,
     seq: AtomicU64,
     hists: Vec<HistCell>,
+    /// One handler-time cell per route, fed by every request.
+    totals: Vec<HistCell>,
     ring: Mutex<VecDeque<CompletedTrace>>,
     ring_capacity: usize,
     min_ess: MinGauge,
@@ -353,6 +384,7 @@ impl Recorder {
             enabled: AtomicBool::new(true),
             seq: AtomicU64::new(0),
             hists: (0..cells).map(|_| HistCell::new()).collect(),
+            totals: routes.iter().map(|_| HistCell::new()).collect(),
             ring: Mutex::new(VecDeque::with_capacity(capacity)),
             ring_capacity: capacity,
             min_ess: MinGauge::new(),
@@ -391,7 +423,6 @@ impl Recorder {
         let id = format!("t-{fingerprint:016x}{:08x}", seq & 0xffff_ffff);
         let trace = ActiveTrace {
             id: id.clone(),
-            started: Instant::now(),
             phase_nanos: [0; NUM_PHASES],
             engine: Vec::new(),
             notes: Vec::new(),
@@ -401,16 +432,20 @@ impl Recorder {
         Some(id)
     }
 
-    /// Finish the current thread's active trace: fold its phase timings
-    /// into the (route, phase) histograms, push it onto the ring
-    /// (evicting the oldest when full), and remember its identity for
-    /// the transport's `http.write` attribution.  Returns the trace id.
-    pub fn finish(&self, route: &'static str, status: u16) -> Option<String> {
+    /// Record one handled request on route `route_index` (an index into
+    /// the route table; out of range counts as the last route).  Its
+    /// handler time `total_nanos` goes into the route's total cell
+    /// whether or not tracing is on.  If a trace is active on this
+    /// thread, it is finished too: its phase timings fold into the
+    /// (route, phase) histograms, it joins the ring (evicting the oldest
+    /// when full), and its identity is kept for the transport's
+    /// `http.write` attribution.  Returns the finished trace's id.
+    pub fn finish(&self, route_index: usize, status: u16, total_nanos: u64) -> Option<String> {
+        let route_index = route_index.min(self.routes.len() - 1);
+        self.totals[route_index].record(total_nanos);
         let trace = ACTIVE.with(|slot| slot.borrow_mut().take());
         TRACE_ACTIVE.with(|flag| flag.set(false));
         let trace = trace?;
-        let total_nanos = trace.started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-        let route_index = self.route_index(route);
         for (phase_index, &nanos) in trace.phase_nanos.iter().enumerate() {
             if nanos > 0 {
                 self.cell(route_index, phase_index).record(nanos);
@@ -506,6 +541,12 @@ impl Recorder {
         ring.iter().rev().find(|t| t.id == id).cloned()
     }
 
+    /// Handler-time snapshots, one per route in route-table order (empty
+    /// routes included).
+    pub fn route_totals(&self) -> Vec<PhaseStat> {
+        self.totals.iter().map(HistCell::stat).collect()
+    }
+
     /// Per-route, per-phase latency summaries for every cell with at
     /// least one sample.
     pub fn phase_stats(&self) -> Vec<RoutePhaseStats> {
@@ -523,13 +564,6 @@ impl Recorder {
             }
         }
         out
-    }
-
-    fn route_index(&self, route: &str) -> usize {
-        self.routes
-            .iter()
-            .position(|r| *r == route)
-            .unwrap_or(self.routes.len() - 1)
     }
 
     fn cell(&self, route_index: usize, phase_index: usize) -> &HistCell {
@@ -565,7 +599,7 @@ mod tests {
         }
         annotate("cache", "miss".to_string());
         annotate_engine(vec![("ess".to_string(), 42.0)]);
-        let finished = rec.finish("/a", 200).expect("trace was active");
+        let finished = rec.finish(0, 200, 2_000_000).expect("trace was active");
         assert_eq!(finished, id);
         assert!(!tracing_active());
 
@@ -585,10 +619,13 @@ mod tests {
             .expect("infer.draw recorded");
         assert_eq!(draw.count, 1);
         assert!(draw.max_nanos >= 1_000_000);
-        assert!(
-            draw.p50_nanos >= draw.max_nanos,
-            "bin upper bound >= sample"
+        assert_eq!(
+            draw.quantile_nanos(0.5),
+            draw.max_nanos,
+            "one sample: every quantile is the sample"
         );
+        assert_eq!(trace.total_nanos, 2_000_000, "the handler's total");
+        assert_eq!(rec.route_totals()[0].count, 1);
     }
 
     #[test]
@@ -597,7 +634,7 @@ mod tests {
         let mut ids = Vec::new();
         for i in 0..5u64 {
             let id = rec.begin(i).unwrap();
-            rec.finish("/b", 200).unwrap();
+            rec.finish(1, 200, 1_000).unwrap();
             ids.push(id);
         }
         assert_eq!(rec.recorded(), 3);
@@ -621,8 +658,11 @@ mod tests {
         assert!(!tracing_active());
         let span = Span::enter(Phase::Validate);
         assert!(!span.is_armed());
-        assert!(rec.finish("/a", 200).is_none());
+        assert!(rec.finish(0, 200, 5_000).is_none());
         assert_eq!(rec.recorded(), 0);
+        // Untraced requests still feed the route's handler-time cell.
+        let totals = rec.route_totals();
+        assert_eq!((totals[0].count, totals[0].max_nanos), (1, 5_000));
     }
 
     #[test]
@@ -633,7 +673,7 @@ mod tests {
             let rec = std::sync::Arc::clone(&rec);
             handles.push(std::thread::spawn(move || {
                 let id = rec.begin(0x1234).unwrap();
-                rec.finish("/a", 200).unwrap();
+                rec.finish(0, 200, 1_000).unwrap();
                 id
             }));
         }
@@ -660,7 +700,7 @@ mod tests {
     fn http_write_backfills_ring_and_histogram() {
         let rec = Recorder::new(&ROUTES, 4);
         let id = rec.begin(1).unwrap();
-        rec.finish("/a", 200).unwrap();
+        rec.finish(0, 200, 1_000).unwrap();
         let (last_id, route_index) = take_last_finished().expect("finish sets last-finished");
         assert_eq!(last_id, id);
         assert_eq!(route_index, 0);
@@ -677,6 +717,73 @@ mod tests {
         set_pending_read_nanos(123);
         assert_eq!(take_pending_read_nanos(), 123);
         assert_eq!(take_pending_read_nanos(), 0, "take clears the slot");
+    }
+
+    #[test]
+    fn quantiles_clamp_at_the_exact_max() {
+        // One 1 ms sample: its bin's upper edge is 1.049 ms, above the
+        // sample itself; the quantile reports the exact maximum instead.
+        let cell = HistCell::new();
+        cell.record(1_000_000);
+        let stat = cell.stat();
+        for q in [0.5, 0.9, 0.99] {
+            assert_eq!(stat.quantile_nanos(q), 1_000_000, "q {q}");
+        }
+        assert_eq!(PhaseStat::default().quantile_nanos(0.5), 0);
+    }
+
+    #[test]
+    fn quantiles_stay_within_the_stated_bound() {
+        // true ≤ reported ≤ min(2 × true, max) for the nearest-rank
+        // quantile, on samples spread over several orders of magnitude.
+        let samples: Vec<Vec<u64>> = vec![
+            (50_000..=74_000).step_by(240).collect(),
+            (1..=1_000).map(|i| i * i * 37).collect(),
+            vec![3, 3, 3, 1 << 20, (1 << 20) + 1, u64::MAX / 4],
+            (0..200).map(|i| 1_000 + (i % 7) * 100_000).collect(),
+        ];
+        for mut values in samples {
+            let cell = HistCell::new();
+            for &v in &values {
+                cell.record(v);
+            }
+            let stat = cell.stat();
+            values.sort_unstable();
+            for q in [0.01, 0.25, 0.5, 0.9, 0.99, 1.0] {
+                let rank = ((values.len() as f64) * q).ceil().max(1.0) as usize;
+                let truth = values[rank - 1];
+                let reported = stat.quantile_nanos(q);
+                let bound = truth.saturating_mul(2).min(stat.max_nanos);
+                assert!(
+                    truth <= reported && reported <= bound,
+                    "q {q}: true {truth}, reported {reported}, bound {bound}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn route_totals_merge_exactly() {
+        let rec = Recorder::new(&ROUTES, 4);
+        rec.set_enabled(false);
+        let whole = HistCell::new();
+        for (i, nanos) in [900u64, 40_000, 41_000, 3_000_000, 12].iter().enumerate() {
+            rec.finish(i % 3, 200, *nanos);
+            whole.record(*nanos);
+        }
+        rec.finish(99, 404, 7); // out of range: the last route
+        whole.record(7);
+        let totals = rec.route_totals();
+        assert_eq!(
+            totals.iter().map(|t| t.count).collect::<Vec<_>>(),
+            [2, 2, 2]
+        );
+        let mut merged = PhaseStat::default();
+        for t in &totals {
+            merged.merge(t);
+        }
+        assert_eq!(merged, whole.stat());
+        assert_eq!(merged.mean_nanos(), merged.sum_nanos as f64 / 6.0);
     }
 
     #[test]

@@ -63,7 +63,7 @@
 //! change a result.
 
 use crate::joint::{
-    JointExecutor, JointResult, JointScratch, JointSpec, LatentSource, RuntimeError,
+    JointExecutor, JointResult, JointScratch, JointSpec, LatentSource, RunCounts, RuntimeError,
 };
 use crate::program::{CalleeRef, CmdId, CmdNode, CompiledProgram, DistNode, ProcId};
 use ppl_dist::rng::Pcg32;
@@ -1844,10 +1844,8 @@ struct Runner<'p, 's> {
     sample_buf: &'s mut [Sample],
     eval_stack: &'s mut ValueStack,
     finished: &'s mut [Option<(Value, Value, u32)>],
-    /// Counters flushed to [`crate::stats`] once per block.
-    cancel_checks: u64,
-    lane_splits: u64,
-    lane_reconverges: u64,
+    /// The worker's counts, bumped once per arm or fork, never per op.
+    counts: &'s mut RunCounts,
 }
 
 /// Grows `cols` to one column per slot, each at least `count` lanes long
@@ -2037,9 +2035,8 @@ impl Runner<'_, '_> {
         }
         loop {
             let ops = self.arm_ops(arm)?;
-            // Counted here and flushed once per block, so the per-op loop
-            // stays atomic-free.
-            self.cancel_checks += ops.len() as u64;
+            // Counted once per arm, so the per-op loop only polls.
+            self.counts.cancel_checks += ops.len() as u64;
             let (last, body) = ops.split_last().expect("every arm ends in a terminal op");
             for op in body {
                 self.poll()?;
@@ -2130,10 +2127,10 @@ impl Runner<'_, '_> {
                 if then_lanes.is_empty() {
                     return Ok(Some(else_arm));
                 }
-                self.lane_splits += 1;
+                self.counts.lane_splits += 1;
                 self.run_arm(then_arm, &then_lanes, depth + 1, ret)?;
                 self.run_arm(else_arm, &else_lanes, depth + 1, ret)?;
-                self.lane_reconverges += 1;
+                self.counts.lane_reconverges += 1;
                 Ok(None)
             });
         // The partition buffers go back even when an arm bailed.
@@ -2307,13 +2304,6 @@ impl Runner<'_, '_> {
         }
         Ok(())
     }
-
-    /// Flushes the block's counters to the process-global [`crate::stats`].
-    fn flush_stats(&self) {
-        crate::stats::record_cancel_checks(self.cancel_checks);
-        crate::stats::record_lane_splits(self.lane_splits);
-        crate::stats::record_lane_reconverges(self.lane_reconverges);
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -2360,7 +2350,9 @@ impl JointExecutor {
     /// The first call per `(programs, observations, spec)` combination
     /// compiles a block plan into `scratch`; subsequent calls reuse it and
     /// extend it with the fork arms their lanes reach first, and once every
-    /// reached arm is planned the loop performs no heap allocations.
+    /// reached arm is planned the loop performs no heap allocations.  The
+    /// block's work is added to the scratch's [`RunCounts`]
+    /// ([`JointScratch::take_counts`]).
     pub fn run_block_with_scratch(
         &self,
         spec: &JointSpec,
@@ -2378,7 +2370,7 @@ impl JointExecutor {
         // stated in.  The vectorised op loop polls again per op, and the
         // scalar fallback per lane, so a mid-block expiry also surfaces.
         self.cancel.check()?;
-        crate::stats::record_cancel_checks(1);
+        scratch.counts.cancel_checks += 1;
         // The plan leaves the scratch while it runs (it grows in place).
         let (key, mut plan) = match scratch.block.cache.take() {
             Some((key, plan)) if key.matches(self, spec) => (key, plan),
@@ -2408,8 +2400,9 @@ impl JointExecutor {
         scratch: &mut JointScratch,
         out: &mut Vec<JointResult>,
     ) -> Result<(), RuntimeError> {
-        // Each scalar run polls the token at entry; flush once per block.
-        crate::stats::record_cancel_checks(count as u64);
+        // Each scalar run polls the token at entry.
+        scratch.counts.cancel_checks += count as u64;
+        scratch.counts.scalar_lanes += count as u64;
         for i in 0..count {
             let mut rng = master.split(first_stream + i as u64);
             let result = self.run_with_scratch(spec, LatentSource::FromGuide, &mut rng, scratch)?;
@@ -2482,14 +2475,9 @@ impl JointExecutor {
                 sample_buf: &mut bs.sample_buf[..count],
                 eval_stack: &mut bs.eval_stack,
                 finished: &mut bs.finished[..count],
-                cancel_checks: 0,
-                lane_splits: 0,
-                lane_reconverges: 0,
+                counts: &mut scratch.counts,
             };
-            let result = runner.run_arm(0, &bs.lanes, 0, None);
-            // Once per block, also when the block bails.
-            runner.flush_stats();
-            result?;
+            runner.run_arm(0, &bs.lanes, 0, None)?;
         }
 
         // Every lane must have reached a `Finish`; verify before touching
@@ -2827,8 +2815,13 @@ mod tests {
         let (exec, spec) = geometric("0.5");
         let verdicts = assert_block_matches_scalar(&exec, &spec, 200, 0x5EED);
         assert_eq!(verdicts, [OK; BLOCK_SIZES.len()]);
-        let (verdicts, scratch) = verdicts_per_block(&exec, &spec, 0x5EED, 64, 4);
+        let (verdicts, mut scratch) = verdicts_per_block(&exec, &spec, 0x5EED, 64, 4);
         assert_eq!(verdicts, [OK; 4]);
+        let counts = scratch.take_counts();
+        assert_eq!(counts.scalar_lanes, 0);
+        assert!(counts.lane_splits > 0);
+        assert_eq!(counts.lane_splits, counts.lane_reconverges);
+        assert_eq!(scratch.take_counts(), RunCounts::default(), "taking resets");
         let planned = cached_plan(&scratch).planned;
         assert!(planned <= 8, "planned {planned} arms");
         let (_, scratch) = verdicts_per_block(&exec, &spec, 0x5EED, 64, 32);
@@ -2869,6 +2862,11 @@ mod tests {
                 exec.run_block_with_scratch(&spec, &master, 0, 64, &mut scratch, &mut out)
                     .expect("runs");
                 assert_eq!(scratch.plan_verdict(), OK);
+                assert_eq!(
+                    scratch.take_counts().scalar_lanes,
+                    64,
+                    "the block reran scalar"
+                );
                 out.iter()
                     .map(|r| {
                         r.latent
@@ -2918,12 +2916,14 @@ mod tests {
         // scalar, and every lane of every block still matches scalar.
         let (exec, spec) = chained_branches();
         for seed in [1, 5] {
-            let (verdicts, _) = verdicts_per_block(&exec, &spec, seed, 8, 5);
+            let (verdicts, mut scratch) = verdicts_per_block(&exec, &spec, seed, 8, 5);
             assert_eq!(
                 verdicts,
                 [OK, OK, EXHAUSTED, EXHAUSTED, EXHAUSTED],
                 "seed {seed}"
             );
+            // The fallback is visible: the last three blocks ran scalar.
+            assert_eq!(scratch.take_counts().scalar_lanes, 3 * 8, "seed {seed}");
             assert_block_matches_scalar(&exec, &spec, 5 * 8, seed);
         }
         let verdicts = assert_block_matches_scalar(&exec, &spec, 300, 7);

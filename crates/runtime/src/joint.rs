@@ -175,6 +175,9 @@ impl JointSpec {
 /// structure-of-arrays lane buffers, the per-worker compiled block plan,
 /// and a pool of trace buffers so a block of `N` particles can record `N`
 /// traces concurrently without allocating in the steady state.
+///
+/// Finally it counts the block executor's work in [`RunCounts`], which
+/// engines move into their results with [`JointScratch::take_counts`].
 #[derive(Debug, Default)]
 pub struct JointScratch {
     pub(crate) model: Option<Coroutine>,
@@ -186,6 +189,36 @@ pub struct JointScratch {
     pub(crate) trace_pool: Vec<Trace>,
     /// Block-execution working memory (lane buffers, plan cache).
     pub(crate) block: crate::block::BlockScratch,
+    /// Work counted since the last [`JointScratch::take_counts`].
+    pub(crate) counts: RunCounts,
+}
+
+/// What the block executor did, counted in plain fields of the worker's
+/// [`JointScratch`] (never shared between workers or requests), so a
+/// run's totals are exact whatever else the process runs.  They depend on
+/// the block size, and since each worker plans on its own, on which
+/// worker's plan gave up first; results never do.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RunCounts {
+    /// Cooperative deadline polls: one per block, one per planned op and
+    /// one per lane the scalar fallback ran (MH adds one per proposal).
+    pub cancel_checks: u64,
+    /// Forks whose lanes diverged, splitting the block across both arms.
+    pub lane_splits: u64,
+    /// Diverged forks whose arms both finished, rejoining their lanes.
+    pub lane_reconverges: u64,
+    /// Lanes the per-lane scalar fallback ran: every lane of a block whose
+    /// plan gave up or that nested past the executor's guard.
+    pub scalar_lanes: u64,
+}
+
+impl std::ops::AddAssign for RunCounts {
+    fn add_assign(&mut self, other: RunCounts) {
+        self.cancel_checks += other.cancel_checks;
+        self.lane_splits += other.lane_splits;
+        self.lane_reconverges += other.lane_reconverges;
+        self.scalar_lanes += other.scalar_lanes;
+    }
 }
 
 /// Upper bound on pooled trace buffers (enough for the largest block size
@@ -207,6 +240,12 @@ impl JointScratch {
         } else {
             self.trace.recycle(trace);
         }
+    }
+
+    /// Returns the work counted since the last call and resets the
+    /// counts; engines call it once per block.
+    pub fn take_counts(&mut self) -> RunCounts {
+        std::mem::take(&mut self.counts)
     }
 
     /// Checks a trace buffer out of the pool (falling back to the scalar

@@ -54,9 +54,10 @@ pub mod coroutine;
 pub mod faults;
 pub mod joint;
 pub mod program;
-pub mod stats;
 
 pub use cancel::CancelToken;
 pub use coroutine::{Coroutine, CoroutineError, Resume, Step, Suspend};
-pub use joint::{JointExecutor, JointResult, JointScratch, JointSpec, LatentSource, RuntimeError};
+pub use joint::{
+    JointExecutor, JointResult, JointScratch, JointSpec, LatentSource, RunCounts, RuntimeError,
+};
 pub use program::{CalleeRef, CmdId, CmdNode, CompiledProc, CompiledProgram, DistNode, ProcId};

@@ -9,8 +9,9 @@
 //! Routes:
 //!
 //! * `GET /healthz` — liveness plus the number of servable models;
-//! * `GET /metrics` — request counts per route, a latency histogram, the
-//!   cache hit rate, and the artifact store's figures;
+//! * `GET /metrics` — request counts per route, log₂ handler-latency
+//!   histograms (overall, per route, per phase), the cache hit rate, and
+//!   the artifact store's figures;
 //! * `GET /v1/models` — the registry listing with each model's rendered
 //!   latent and observation protocols;
 //! * `POST /v1/query` — run one inference request (see below); with an
@@ -233,7 +234,7 @@ impl App {
             // The trace id is a pure function of the request bytes plus a
             // process epoch counter — deterministic, RNG-free, distinct
             // under concurrency.
-            let trace_id = app.obs.begin(ppl_obs::trace::request_hash(&[
+            app.obs.begin(ppl_obs::trace::request_hash(&[
                 req.method.as_bytes(),
                 req.path.as_bytes(),
                 &req.body,
@@ -253,16 +254,11 @@ impl App {
                         ApiError::new(500, "server.panic", "internal handler panic").to_response()
                     }
                 };
-            let route_name = crate::metrics::normalize_route(&req.path);
-            app.metrics.record(
-                &req.path,
-                response.status,
-                start.elapsed().as_secs_f64() * 1e3,
-            );
-            if trace_id.is_some() {
-                if let Some(id) = app.obs.finish(route_name, response.status) {
-                    response = response.with_header("X-Ppl-Trace-Id", &id);
-                }
+            let route = crate::metrics::normalize_route(&req.path);
+            app.metrics.record(route, &req.path, response.status);
+            let total_nanos = start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
+            if let Some(id) = app.obs.finish(route, response.status, total_nanos) {
+                response = response.with_header("X-Ppl-Trace-Id", &id);
             }
             response
         })
@@ -539,9 +535,12 @@ fn healthz(app: &App) -> Response {
 }
 
 fn metrics(app: &App) -> Response {
-    let mut body = app
-        .metrics
-        .render(app.cache.hits(), app.cache.misses(), app.cache.len());
+    let mut body = app.metrics.render(
+        &app.obs,
+        app.cache.hits(),
+        app.cache.misses(),
+        app.cache.len(),
+    );
     if let Json::Obj(fields) = &mut body {
         let per_model = app
             .registry
@@ -661,44 +660,6 @@ fn metrics(app: &App) -> Response {
                 ),
             ]),
         ));
-        let phases = app
-            .obs
-            .phase_stats()
-            .into_iter()
-            .map(|route_stats| {
-                (
-                    route_stats.route.to_string(),
-                    Json::Obj(
-                        route_stats
-                            .phases
-                            .into_iter()
-                            .map(|(phase, stat)| {
-                                let to_ms = |nanos: u64| Json::num_or_null(nanos as f64 / 1e6);
-                                (
-                                    phase.as_str().to_string(),
-                                    Json::Obj(vec![
-                                        ("count".into(), Json::Num(stat.count as f64)),
-                                        (
-                                            "mean".into(),
-                                            Json::num_or_null(
-                                                stat.sum_nanos as f64
-                                                    / 1e6
-                                                    / (stat.count as f64).max(1.0),
-                                            ),
-                                        ),
-                                        ("p50".into(), to_ms(stat.p50_nanos)),
-                                        ("p90".into(), to_ms(stat.p90_nanos)),
-                                        ("p99".into(), to_ms(stat.p99_nanos)),
-                                        ("max".into(), to_ms(stat.max_nanos)),
-                                    ]),
-                                )
-                            })
-                            .collect(),
-                    ),
-                )
-            })
-            .collect();
-        fields.push(("phases_ms".into(), Json::Obj(phases)));
         let gauge = |value: Option<f64>| match value {
             Some(v) => Json::num_or_null(v),
             None => Json::Null,
@@ -921,10 +882,7 @@ fn engine_json(diag: &ppl_inference::Diagnostics) -> Json {
         Some(v) => Json::num_or_null(v),
         None => Json::Null,
     };
-    let count = |value: Option<u64>| match value {
-        Some(v) => Json::Num(v as f64),
-        None => Json::Null,
-    };
+    let count = |value: u64| Json::Num(value as f64);
     Json::Obj(vec![
         ("method".into(), Json::str(diag.method)),
         ("num_draws".into(), Json::Num(diag.num_draws as f64)),
@@ -944,6 +902,7 @@ fn engine_json(diag: &ppl_inference::Diagnostics) -> Json {
         ("lane_splits".into(), count(diag.lane_splits)),
         ("lane_reconverges".into(), count(diag.lane_reconverges)),
         ("cancel_checks".into(), count(diag.cancel_checks)),
+        ("scalar_lanes".into(), count(diag.scalar_lanes)),
     ])
 }
 
@@ -966,15 +925,12 @@ fn engine_pairs(diag: &ppl_inference::Diagnostics) -> Vec<(String, f64)> {
     for (i, v) in diag.elbo_tail.iter().enumerate() {
         pairs.push((format!("elbo_tail.{i}"), *v));
     }
-    if let Some(v) = diag.lane_splits {
-        pairs.push(("lane_splits".to_string(), v as f64));
-    }
-    if let Some(v) = diag.lane_reconverges {
-        pairs.push(("lane_reconverges".to_string(), v as f64));
-    }
-    if let Some(v) = diag.cancel_checks {
-        pairs.push(("cancel_checks".to_string(), v as f64));
-    }
+    pairs.extend([
+        ("lane_splits".to_string(), diag.lane_splits as f64),
+        ("lane_reconverges".to_string(), diag.lane_reconverges as f64),
+        ("cancel_checks".to_string(), diag.cancel_checks as f64),
+        ("scalar_lanes".to_string(), diag.scalar_lanes as f64),
+    ]);
     pairs
 }
 
@@ -1157,13 +1113,6 @@ fn serve_one(
         Method::Vi { .. } => ppl_obs::Phase::InferFit,
         _ => ppl_obs::Phase::InferDraw,
     };
-    // Runtime counters are process-global; under concurrent requests a
-    // delta can include a neighbour's blocks, so these figures are
-    // attribution hints, not invariants — and they live only in the
-    // uncached trace block, never in cached bytes.
-    let splits_before = ppl_runtime::stats::lane_splits();
-    let reconverges_before = ppl_runtime::stats::lane_reconverges();
-    let checks_before = ppl_runtime::stats::cancel_checks();
     let run_started = Instant::now();
     let posterior = {
         let _span = ppl_obs::Span::enter(infer_phase);
@@ -1173,11 +1122,9 @@ fn serve_one(
         scheduled_executions(&request.method),
         run_started.elapsed().as_nanos() as u64,
     );
-    let mut diag = posterior.diag();
-    diag.lane_splits = Some(ppl_runtime::stats::lane_splits().saturating_sub(splits_before));
-    diag.lane_reconverges =
-        Some(ppl_runtime::stats::lane_reconverges().saturating_sub(reconverges_before));
-    diag.cancel_checks = Some(ppl_runtime::stats::cancel_checks().saturating_sub(checks_before));
+    // The run's own counts: they live only in the uncached trace block,
+    // never in cached bytes.
+    let diag = posterior.diag();
     app.obs
         .observe_quality(Some(diag.ess), diag.acceptance_rate);
     ppl_obs::trace::annotate_engine(engine_pairs(&diag));
@@ -1671,7 +1618,8 @@ mod tests {
         assert_eq!(get(&app, "/nope").status, 404);
         assert_eq!(post(&app, "/healthz", "").status, 405);
         // Metrics recorded every one of those requests.
-        assert_eq!(app.metrics.total_requests(), 4);
+        let totals = app.obs.route_totals();
+        assert_eq!(totals.iter().map(|t| t.count).sum::<u64>(), 4);
     }
 
     #[test]

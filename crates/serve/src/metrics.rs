@@ -1,23 +1,20 @@
 //! Request metrics for the `/metrics` endpoint.
 //!
-//! Counters are relaxed atomics (they are diagnostics, not
-//! synchronisation); request latency feeds a fixed-range
-//! [`Histogram`] from `ppl_dist::stats` — the same estimator the posterior
-//! summaries use — plus exact running sum/max, all behind one short-lived
-//! mutex.
+//! Response classes and sheds are counted here, in relaxed atomics (they
+//! are diagnostics, not synchronisation).  Every latency figure, and the
+//! per-route request counts, comes from the flight recorder's log₂ cells
+//! ([`ppl_obs::Recorder`]): one handler-time cell per route, fed by every
+//! request whether or not tracing is on, plus the per-(route, phase)
+//! cells.  [`Metrics::render`] turns each cell's [`PhaseStat`] into JSON
+//! through one helper, so every percentile it serves carries the cells'
+//! stated bound: true ≤ reported ≤ min(2 × true, max).  Handler time
+//! excludes socket I/O (`http.read` and `http.write` are phases).
 
 use crate::json::Json;
-use ppl_dist::stats::Histogram;
+use ppl_obs::{PhaseStat, Recorder};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
-
-/// Upper bound of the latency histogram range, in milliseconds; slower
-/// requests land in [`Metrics::latency_overflow`] instead of a bin.
-pub const LATENCY_RANGE_MS: f64 = 2_000.0;
-
-/// Number of latency histogram bins.
-pub const LATENCY_BINS: usize = 40;
 
 /// The routes the server distinguishes in its per-route counters.
 /// `/v1/models/{id}` and `/v1/artifacts/{id}` lifecycle requests are
@@ -37,10 +34,13 @@ pub const ROUTES: [&str; 12] = [
     "other",
 ];
 
-/// Normalises a request path to the [`ROUTES`] entry it is counted
-/// under: lifecycle requests collapse to their `{id}` buckets, and any
-/// unmatched path maps to `"other"`.
-pub fn normalize_route(path: &str) -> &'static str {
+/// Index of the catch-all `"other"` bucket in [`ROUTES`].
+const OTHER: usize = ROUTES.len() - 1;
+
+/// The index of the [`ROUTES`] entry a request path is counted under:
+/// lifecycle requests collapse to their `{id}` buckets, and any unmatched
+/// path maps to `"other"`.
+pub fn normalize_route(path: &str) -> usize {
     let path = if path.starts_with("/v1/models/") {
         "/v1/models/{id}"
     } else if path.starts_with("/v1/artifacts/") {
@@ -52,77 +52,14 @@ pub fn normalize_route(path: &str) -> &'static str {
     };
     ROUTES
         .iter()
-        .find(|route| **route == path)
-        .copied()
-        .unwrap_or("other")
-}
-
-struct Latency {
-    histogram: Histogram,
-    overflow: u64,
-    count: u64,
-    sum_ms: f64,
-    max_ms: f64,
-}
-
-impl Latency {
-    fn new() -> Latency {
-        Latency {
-            histogram: Histogram::new(0.0, LATENCY_RANGE_MS, LATENCY_BINS),
-            overflow: 0,
-            count: 0,
-            sum_ms: 0.0,
-            max_ms: 0.0,
-        }
-    }
-
-    fn add(&mut self, latency_ms: f64) {
-        if latency_ms >= LATENCY_RANGE_MS {
-            self.overflow += 1;
-        } else {
-            self.histogram.add(latency_ms, 1.0);
-        }
-        self.count += 1;
-        self.sum_ms += latency_ms;
-        self.max_ms = self.max_ms.max(latency_ms);
-    }
-
-    /// Estimated `q`-quantile in milliseconds, read from the histogram
-    /// bins (bin-centre resolution); ranks landing in the overflow
-    /// region report the exact running maximum.
-    fn percentile(&self, q: f64) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        let target = ((self.count as f64) * q).ceil().max(1.0);
-        let mut cumulative = 0.0;
-        for (center, weight) in self
-            .histogram
-            .centers()
-            .into_iter()
-            .zip(self.histogram.bin_weights().iter().copied())
-        {
-            cumulative += weight;
-            if cumulative >= target {
-                return center;
-            }
-        }
-        self.max_ms
-    }
-
-    fn mean(&self) -> f64 {
-        if self.count > 0 {
-            self.sum_ms / self.count as f64
-        } else {
-            0.0
-        }
-    }
+        .position(|route| *route == path)
+        .unwrap_or(OTHER)
 }
 
 /// Aggregated serving metrics.
+#[derive(Debug)]
 pub struct Metrics {
     started: Instant,
-    requests_by_route: [AtomicU64; ROUTES.len()],
     responses_2xx: AtomicU64,
     responses_4xx: AtomicU64,
     responses_5xx: AtomicU64,
@@ -132,8 +69,6 @@ pub struct Metrics {
     /// Requests whose path matched no known route (they are counted
     /// under the `"other"` bucket, but no longer silently).
     unknown_paths: AtomicU64,
-    latency: Mutex<Latency>,
-    latency_by_route: Mutex<Vec<Latency>>,
     /// Handler panics caught and converted to `500 server.panic`.
     panics: AtomicU64,
     /// Requests shed by a per-endpoint concurrency cap (`429`).
@@ -143,14 +78,6 @@ pub struct Metrics {
     /// [`crate::http::ServerConfig::shed_counter`] — the transport layer
     /// sheds before the handler (and therefore these metrics) ever runs.
     queue_sheds: Arc<AtomicU64>,
-}
-
-impl std::fmt::Debug for Metrics {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Metrics")
-            .field("total_requests", &self.total_requests())
-            .finish_non_exhaustive()
-    }
 }
 
 impl Default for Metrics {
@@ -164,14 +91,11 @@ impl Metrics {
     pub fn new() -> Metrics {
         Metrics {
             started: Instant::now(),
-            requests_by_route: std::array::from_fn(|_| AtomicU64::new(0)),
             responses_2xx: AtomicU64::new(0),
             responses_4xx: AtomicU64::new(0),
             responses_5xx: AtomicU64::new(0),
             responses_timeout: AtomicU64::new(0),
             unknown_paths: AtomicU64::new(0),
-            latency: Mutex::new(Latency::new()),
-            latency_by_route: Mutex::new((0..ROUTES.len()).map(|_| Latency::new()).collect()),
             panics: AtomicU64::new(0),
             cap_sheds: AtomicU64::new(0),
             queue_sheds: Arc::new(AtomicU64::new(0)),
@@ -209,15 +133,11 @@ impl Metrics {
         Arc::clone(&self.queue_sheds)
     }
 
-    /// Records one handled request: its route (normalised to a [`ROUTES`]
-    /// entry), response status, and wall-clock latency.
-    pub fn record(&self, path: &str, status: u16, latency_ms: f64) {
-        let route = normalize_route(path);
-        let idx = ROUTES
-            .iter()
-            .position(|r| *r == route)
-            .unwrap_or(ROUTES.len() - 1);
-        if route == "other" && path != "other" {
+    /// Records one handled request's response class.  `route` is
+    /// [`normalize_route`] of `path`; the request's handler time goes to
+    /// the recorder ([`Recorder::finish`]) under the same index.
+    pub fn record(&self, route: usize, path: &str, status: u16) {
+        if route == OTHER && path != "other" {
             // Unmatched paths still land in the "other" bucket, but no
             // longer silently: count them and leave a (rate-limited)
             // breadcrumb naming the path.
@@ -228,7 +148,6 @@ impl Metrics {
                 &[("path", ppl_obs::log::Value::s(path))],
             );
         }
-        self.requests_by_route[idx].fetch_add(1, Ordering::Relaxed);
         let status_counter = match status {
             200..=299 => &self.responses_2xx,
             408 => &self.responses_timeout,
@@ -236,11 +155,6 @@ impl Metrics {
             _ => &self.responses_4xx,
         };
         status_counter.fetch_add(1, Ordering::Relaxed);
-        self.latency
-            .lock()
-            .expect("metrics poisoned")
-            .add(latency_ms);
-        self.latency_by_route.lock().expect("metrics poisoned")[idx].add(latency_ms);
     }
 
     /// Requests for paths that matched no known route so far.
@@ -253,61 +167,48 @@ impl Metrics {
         self.responses_timeout.load(Ordering::Relaxed)
     }
 
-    /// Total requests across every route.
-    pub fn total_requests(&self) -> u64 {
-        self.requests_by_route
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .sum()
-    }
-
-    /// Requests that fell outside the latency histogram range.
-    pub fn latency_overflow(&self) -> u64 {
-        self.latency.lock().expect("metrics poisoned").overflow
-    }
-
-    /// Renders the metrics document served by `/metrics`.  `cache_hits`,
-    /// `cache_misses`, and `cache_len` come from the response cache.
-    pub fn render(&self, cache_hits: u64, cache_misses: u64, cache_len: usize) -> Json {
-        let latency = self.latency.lock().expect("metrics poisoned");
-        let mean_ms = latency.mean();
-        let histogram = Json::Obj(vec![
-            (
-                "range_ms".into(),
-                Json::Arr(vec![Json::Num(0.0), Json::Num(LATENCY_RANGE_MS)]),
-            ),
-            (
-                "centers_ms".into(),
-                Json::Arr(
-                    latency
-                        .histogram
-                        .centers()
-                        .into_iter()
-                        .map(Json::num_or_null)
-                        .collect(),
-                ),
-            ),
-            (
-                "counts".into(),
-                Json::Arr(
-                    latency
-                        .histogram
-                        .bin_weights()
-                        .iter()
-                        .map(|&w| Json::num_or_null(w))
-                        .collect(),
-                ),
-            ),
-            ("overflow".into(), Json::Num(latency.overflow as f64)),
-        ]);
-        let routes = ROUTES
-            .iter()
-            .zip(&self.requests_by_route)
-            .map(|(route, counter)| {
-                (
-                    route.to_string(),
-                    Json::Num(counter.load(Ordering::Relaxed) as f64),
-                )
+    /// Renders the request and latency part of the `/metrics` document:
+    /// the counters here, and the latency cells of `obs` (a recorder over
+    /// [`ROUTES`]).  `cache_hits`, `cache_misses`, and `cache_len` come
+    /// from the response cache.
+    pub fn render(
+        &self,
+        obs: &Recorder,
+        cache_hits: u64,
+        cache_misses: u64,
+        cache_len: usize,
+    ) -> Json {
+        let totals = obs.route_totals();
+        let mut all = PhaseStat::default();
+        for total in &totals {
+            all.merge(total);
+        }
+        let mut latency = stat_fields(&all);
+        // Bin `i` counts handler times in [2^i, 2^(i+1)) ns.
+        let counts = all.bins.iter().map(|&n| Json::Num(n as f64)).collect();
+        latency.push((
+            "histogram".into(),
+            Json::Obj(vec![("counts".into(), Json::Arr(counts))]),
+        ));
+        let cell = |stat: &PhaseStat| Json::Obj(stat_fields(stat));
+        let routes = || ROUTES.iter().map(|route| route.to_string()).zip(&totals);
+        let requests_by_route = routes()
+            .map(|(route, total)| (route, Json::Num(total.count as f64)))
+            .collect();
+        let latency_by_route = routes()
+            .filter(|(_, total)| total.count > 0)
+            .map(|(route, total)| (route, cell(total)))
+            .collect();
+        let phases = obs
+            .phase_stats()
+            .into_iter()
+            .map(|route| {
+                let cells = route
+                    .phases
+                    .iter()
+                    .map(|(phase, stat)| (phase.as_str().to_string(), cell(stat)))
+                    .collect();
+                (route.route.to_string(), Json::Obj(cells))
             })
             .collect();
         let cache_total = cache_hits + cache_misses;
@@ -316,53 +217,27 @@ impl Metrics {
         } else {
             0.0
         };
+        let count = |counter: &AtomicU64| Json::Num(counter.load(Ordering::Relaxed) as f64);
         Json::Obj(vec![
             (
                 "uptime_seconds".into(),
                 Json::num_or_null(self.started.elapsed().as_secs_f64()),
             ),
-            (
-                "requests_total".into(),
-                Json::Num(self.total_requests() as f64),
-            ),
-            ("requests_by_route".into(), Json::Obj(routes)),
+            ("requests_total".into(), Json::Num(all.count as f64)),
+            ("requests_by_route".into(), Json::Obj(requests_by_route)),
             (
                 "responses".into(),
                 Json::Obj(vec![
-                    (
-                        "2xx".into(),
-                        Json::Num(self.responses_2xx.load(Ordering::Relaxed) as f64),
-                    ),
-                    (
-                        "4xx".into(),
-                        Json::Num(self.responses_4xx.load(Ordering::Relaxed) as f64),
-                    ),
-                    (
-                        "5xx".into(),
-                        Json::Num(self.responses_5xx.load(Ordering::Relaxed) as f64),
-                    ),
-                    (
-                        "timeout".into(),
-                        Json::Num(self.responses_timeout.load(Ordering::Relaxed) as f64),
-                    ),
+                    ("2xx".into(), count(&self.responses_2xx)),
+                    ("4xx".into(), count(&self.responses_4xx)),
+                    ("5xx".into(), count(&self.responses_5xx)),
+                    ("timeout".into(), count(&self.responses_timeout)),
                 ]),
             ),
-            (
-                "unknown_paths".into(),
-                Json::Num(self.unknown_paths.load(Ordering::Relaxed) as f64),
-            ),
-            (
-                "latency_ms".into(),
-                Json::Obj(vec![
-                    ("mean".into(), Json::num_or_null(mean_ms)),
-                    ("max".into(), Json::num_or_null(latency.max_ms)),
-                    ("p50".into(), Json::num_or_null(latency.percentile(0.50))),
-                    ("p90".into(), Json::num_or_null(latency.percentile(0.90))),
-                    ("p99".into(), Json::num_or_null(latency.percentile(0.99))),
-                    ("histogram".into(), histogram),
-                ]),
-            ),
-            ("latency_by_route_ms".into(), self.render_route_latency()),
+            ("unknown_paths".into(), count(&self.unknown_paths)),
+            ("latency_ms".into(), Json::Obj(latency)),
+            ("latency_by_route_ms".into(), Json::Obj(latency_by_route)),
+            ("phases_ms".into(), Json::Obj(phases)),
             (
                 "cache".into(),
                 Json::Obj(vec![
@@ -374,54 +249,48 @@ impl Metrics {
             ),
         ])
     }
+}
 
-    /// Per-route latency summaries (count, mean, max, p50/p90/p99) for
-    /// every route that has handled at least one request.
-    fn render_route_latency(&self) -> Json {
-        let by_route = self.latency_by_route.lock().expect("metrics poisoned");
-        Json::Obj(
-            ROUTES
-                .iter()
-                .zip(by_route.iter())
-                .filter(|(_, latency)| latency.count > 0)
-                .map(|(route, latency)| {
-                    (
-                        route.to_string(),
-                        Json::Obj(vec![
-                            ("count".into(), Json::Num(latency.count as f64)),
-                            ("mean".into(), Json::num_or_null(latency.mean())),
-                            ("max".into(), Json::num_or_null(latency.max_ms)),
-                            ("p50".into(), Json::num_or_null(latency.percentile(0.50))),
-                            ("p90".into(), Json::num_or_null(latency.percentile(0.90))),
-                            ("p99".into(), Json::num_or_null(latency.percentile(0.99))),
-                        ]),
-                    )
-                })
-                .collect(),
-        )
-    }
+/// The fields of one latency cell in milliseconds: count, mean,
+/// p50/p90/p99 and max.
+fn stat_fields(stat: &PhaseStat) -> Vec<(String, Json)> {
+    let ms = |nanos: u64| Json::num_or_null(nanos as f64 / 1e6);
+    vec![
+        ("count".into(), Json::Num(stat.count as f64)),
+        ("mean".into(), Json::num_or_null(stat.mean_nanos() / 1e6)),
+        ("p50".into(), ms(stat.quantile_nanos(0.50))),
+        ("p90".into(), ms(stat.quantile_nanos(0.90))),
+        ("p99".into(), ms(stat.quantile_nanos(0.99))),
+        ("max".into(), ms(stat.max_nanos)),
+    ]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Records one request the way the handler does.
+    fn record(m: &Metrics, obs: &Recorder, path: &str, status: u16, latency_ms: f64) {
+        let route = normalize_route(path);
+        m.record(route, path, status);
+        obs.finish(route, status, (latency_ms * 1e6) as u64);
+    }
+
     #[test]
     fn records_routes_statuses_and_latency() {
-        let m = Metrics::new();
-        m.record("/healthz", 200, 0.5);
-        m.record("/v1/query", 200, 12.0);
-        m.record("/v1/query", 400, 1.0);
-        m.record("/nope", 404, 0.1);
-        m.record("/v1/models/m-0011223344556677", 200, 0.2);
-        m.record("/v1/artifacts/a-0011223344556677", 200, 0.2);
-        m.record("/v1/query", 500, LATENCY_RANGE_MS + 1.0);
-        m.record("/v1/query", 408, 250.0);
-        assert_eq!(m.total_requests(), 8);
-        assert_eq!(m.latency_overflow(), 1);
+        let (m, obs) = (Metrics::new(), Recorder::new(&ROUTES, 4));
+        record(&m, &obs, "/healthz", 200, 0.5);
+        record(&m, &obs, "/v1/query", 200, 12.0);
+        record(&m, &obs, "/v1/query", 400, 1.0);
+        record(&m, &obs, "/nope", 404, 0.1);
+        record(&m, &obs, "/v1/models/m-0011223344556677", 200, 0.2);
+        record(&m, &obs, "/v1/artifacts/a-0011223344556677", 200, 0.2);
+        record(&m, &obs, "/v1/query", 500, 2_001.0);
+        record(&m, &obs, "/v1/query", 408, 250.0);
         assert_eq!(m.timeouts(), 1);
         assert_eq!(m.unknown_paths(), 1);
-        let json = m.render(3, 1, 2);
+        let json = m.render(&obs, 3, 1, 2);
+        assert_eq!(json.get("requests_total"), Some(&Json::Num(8.0)));
         assert_eq!(
             json.get("requests_by_route").unwrap().get("/v1/query"),
             Some(&Json::Num(4.0))
@@ -467,6 +336,14 @@ mod tests {
                 "global latency reports {key}"
             );
         }
+        let counts = latency.get("histogram").unwrap().get("counts").unwrap();
+        let binned: f64 = counts
+            .as_arr()
+            .unwrap()
+            .iter()
+            .filter_map(Json::as_f64)
+            .sum();
+        assert_eq!(binned, 8.0, "every request sits in a log2 bin");
         let by_route = json.get("latency_by_route_ms").unwrap();
         let query = by_route.get("/v1/query").expect("per-route latency");
         assert_eq!(query.get("count"), Some(&Json::Num(4.0)));
@@ -483,13 +360,13 @@ mod tests {
     fn percentiles_track_the_tail() {
         // 2% of samples in the tail: nearest-rank p99 must land there
         // (with exactly 1% it would sit right on the bulk boundary).
-        let m = Metrics::new();
+        let (m, obs) = (Metrics::new(), Recorder::new(&ROUTES, 4));
         for _ in 0..98 {
-            m.record("/v1/query", 200, 10.0);
+            record(&m, &obs, "/v1/query", 200, 10.0);
         }
-        m.record("/v1/query", 200, 1_500.0);
-        m.record("/v1/query", 200, 1_500.0);
-        let json = m.render(0, 0, 0);
+        record(&m, &obs, "/v1/query", 200, 1_500.0);
+        record(&m, &obs, "/v1/query", 200, 1_500.0);
+        let json = m.render(&obs, 0, 0, 0);
         let latency = json.get("latency_ms").unwrap();
         let num = |key: &str| match latency.get(key) {
             Some(Json::Num(v)) => *v,
@@ -502,11 +379,12 @@ mod tests {
 
     #[test]
     fn normalize_route_covers_ids_and_unknowns() {
-        assert_eq!(normalize_route("/healthz"), "/healthz");
-        assert_eq!(normalize_route("/v1/models/m-00"), "/v1/models/{id}");
-        assert_eq!(normalize_route("/v1/artifacts/a-00"), "/v1/artifacts/{id}");
-        assert_eq!(normalize_route("/v1/trace"), "/v1/trace");
-        assert_eq!(normalize_route("/v1/trace/t-00"), "/v1/trace/{id}");
-        assert_eq!(normalize_route("/nope"), "other");
+        let route = |path| ROUTES[normalize_route(path)];
+        assert_eq!(route("/healthz"), "/healthz");
+        assert_eq!(route("/v1/models/m-00"), "/v1/models/{id}");
+        assert_eq!(route("/v1/artifacts/a-00"), "/v1/artifacts/{id}");
+        assert_eq!(route("/v1/trace"), "/v1/trace");
+        assert_eq!(route("/v1/trace/t-00"), "/v1/trace/{id}");
+        assert_eq!(route("/nope"), "other");
     }
 }
