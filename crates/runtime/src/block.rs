@@ -41,8 +41,12 @@
 //! 3. **Divergence.**  At a fork the active lane set splits and each arm
 //!    runs with its own sub-set (falling back to per-lane evaluation since
 //!    the column is no longer dense); the lanes re-converge at the
-//!    enclosing call's return.  Per-lane real arithmetic runs as a
-//!    compiled [`RealExpr`] rather than through the evaluator.
+//!    enclosing call's return.  Per-lane expressions (fork predicates,
+//!    bound values, distribution parameters) run as typed [`LaneProg`]s:
+//!    the first-order base-typed fragment compiled to postfix, every
+//!    operand's type fixed at plan time.  A shape no lane program
+//!    expresses keeps the evaluator, counted in
+//!    [`RunCounts::evaluator_lanes`].
 //! 4. **Fallback.**  A [`BlockPlan`] holds at most [`ARM_BUDGET`] planned
 //!    arms; lane-dependent branches that never reach a call or return
 //!    (arms do not reconverge after a fork) double the paths per branch
@@ -71,7 +75,7 @@ use ppl_dist::{DistKind, Distribution, Sample};
 use ppl_semantics::eval::{eval_dist_in, eval_expr_in};
 use ppl_semantics::trace::{Message, Trace};
 use ppl_semantics::value::{Bindings, Value, ValueStack};
-use ppl_syntax::ast::{BinOp, ChannelName, Dir, DistExpr, Expr, Ident, UnOp};
+use ppl_syntax::ast::{BaseType, BinOp, ChannelName, Dir, DistExpr, Expr, Ident, UnOp};
 use std::sync::Arc;
 
 /// Symbolic execution step budget per plan: bounds the total number of
@@ -120,88 +124,143 @@ impl From<Bail> for Halt {
     }
 }
 
-/// Carrier class of a slot: how the `f64` column encodes values.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Carrier {
-    /// `Sample::Real` stored directly.
-    Real,
-    /// `Sample::Bool` stored as `1.0` / `0.0`.
+/// The type of a lane value, which is also the tag a dynamic slot records
+/// per lane.  Slot columns encode every type in an `f64`: a real as
+/// itself, a Boolean as `1.0` / `0.0`, a natural through `f64::from_bits`,
+/// unit as `0.0`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+enum Ty {
+    #[default]
+    Unit,
     Bool,
-    /// `Sample::Nat` stored via `f64::from_bits`.
+    Real,
     Nat,
-    /// Per-lane eval results: a side tag column selects the decoding.
-    Dyn,
 }
 
-const TAG_UNIT: u8 = 0;
-const TAG_BOOL: u8 = 1;
-const TAG_REAL: u8 = 2;
-const TAG_NAT: u8 = 3;
-
-fn class_of_kind(kind: DistKind) -> Carrier {
-    match kind {
-        DistKind::Real | DistKind::PosReal | DistKind::UnitInterval => Carrier::Real,
-        DistKind::Bool => Carrier::Bool,
-        DistKind::Nat | DistKind::FinNat(_) => Carrier::Nat,
+impl Ty {
+    /// The lane type of a declared base type (`None`: no slot holds it).
+    fn of_base(t: &BaseType) -> Option<Ty> {
+        match t {
+            BaseType::Unit => Some(Ty::Unit),
+            BaseType::Bool => Some(Ty::Bool),
+            t if t.is_real_like() => Some(Ty::Real),
+            t if t.is_nat_like() => Some(Ty::Nat),
+            _ => None,
+        }
     }
 }
 
-fn class_of_ctor(ctor: &DistExpr) -> Carrier {
-    match ctor {
-        DistExpr::Bernoulli(_) => Carrier::Bool,
-        DistExpr::Uniform | DistExpr::Beta(..) | DistExpr::Gamma(..) | DistExpr::Normal(..) => {
-            Carrier::Real
+/// What a slot's column holds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Carrier {
+    /// Every lane holds a value of this type.
+    Typed(Ty),
+    /// Lanes may hold different types; the slot's tag column records each
+    /// lane's.  Slots a call fills carry the procedure's declared type,
+    /// which lane programs expect there (`None`: an evaluator result).
+    Dyn(Option<Ty>),
+}
+
+fn class_of_kind(kind: DistKind) -> Carrier {
+    Carrier::Typed(match kind {
+        DistKind::Real | DistKind::PosReal | DistKind::UnitInterval => Ty::Real,
+        DistKind::Bool => Ty::Bool,
+        DistKind::Nat | DistKind::FinNat(_) => Ty::Nat,
+    })
+}
+
+/// A distribution constructor, as a sample site names it.
+#[derive(Debug, Clone, Copy)]
+enum Ctor {
+    Bernoulli,
+    Uniform,
+    Beta,
+    Gamma,
+    Normal,
+    Categorical,
+    Geometric,
+    Poisson,
+}
+
+impl Ctor {
+    fn of(d: &DistExpr) -> Ctor {
+        match d {
+            DistExpr::Bernoulli(_) => Ctor::Bernoulli,
+            DistExpr::Uniform => Ctor::Uniform,
+            DistExpr::Beta(..) => Ctor::Beta,
+            DistExpr::Gamma(..) => Ctor::Gamma,
+            DistExpr::Normal(..) => Ctor::Normal,
+            DistExpr::Categorical(_) => Ctor::Categorical,
+            DistExpr::Geometric(_) => Ctor::Geometric,
+            DistExpr::Poisson(_) => Ctor::Poisson,
         }
-        DistExpr::Categorical(_) | DistExpr::Geometric(_) | DistExpr::Poisson(_) => Carrier::Nat,
+    }
+
+    /// The carrier of its draws.
+    fn carrier(self) -> Carrier {
+        Carrier::Typed(match self {
+            Ctor::Bernoulli => Ty::Bool,
+            Ctor::Uniform | Ctor::Beta | Ctor::Gamma | Ctor::Normal => Ty::Real,
+            Ctor::Categorical | Ctor::Geometric | Ctor::Poisson => Ty::Nat,
+        })
+    }
+
+    /// The distribution of evaluated parameters `a`, as `eval_dist_in`
+    /// builds it.
+    // Forced inline into the per-lane loops, like `dist_lane`.
+    #[inline(always)]
+    fn build(self, a: &[f64]) -> Result<Distribution, ppl_dist::DistError> {
+        match self {
+            Ctor::Bernoulli => Distribution::bernoulli(a[0]),
+            Ctor::Uniform => Ok(Distribution::uniform()),
+            Ctor::Beta => Distribution::beta(a[0], a[1]),
+            Ctor::Gamma => Distribution::gamma(a[0], a[1]),
+            Ctor::Normal => Distribution::normal(a[0], a[1]),
+            Ctor::Categorical => Distribution::categorical(a.to_vec()),
+            Ctor::Geometric => Distribution::geometric(a[0]),
+            Ctor::Poisson => Distribution::poisson(a[0]),
+        }
     }
 }
 
 fn encode_sample(s: Sample) -> f64 {
     match s {
         Sample::Real(x) => x,
-        Sample::Bool(b) => {
-            if b {
-                1.0
-            } else {
-                0.0
-            }
-        }
+        Sample::Bool(b) => f64::from(b),
         Sample::Nat(n) => f64::from_bits(n),
     }
 }
 
 fn decode_sample(carrier: Carrier, x: f64) -> Option<Sample> {
     match carrier {
-        Carrier::Real => Some(Sample::Real(x)),
-        Carrier::Bool => Some(Sample::Bool(x == 1.0)),
-        Carrier::Nat => Some(Sample::Nat(x.to_bits())),
-        Carrier::Dyn => None,
+        Carrier::Typed(Ty::Real) => Some(Sample::Real(x)),
+        Carrier::Typed(Ty::Bool) => Some(Sample::Bool(x == 1.0)),
+        Carrier::Typed(Ty::Nat) => Some(Sample::Nat(x.to_bits())),
+        Carrier::Typed(Ty::Unit) | Carrier::Dyn(_) => None,
     }
 }
 
-fn encode_value(v: &Value) -> Option<(u8, f64)> {
+fn encode_value(v: &Value) -> Option<(Ty, f64)> {
     match v {
-        Value::Unit => Some((TAG_UNIT, 0.0)),
-        Value::Bool(b) => Some((TAG_BOOL, if *b { 1.0 } else { 0.0 })),
-        Value::Real(r) => Some((TAG_REAL, *r)),
-        Value::Nat(n) => Some((TAG_NAT, f64::from_bits(*n))),
+        Value::Unit => Some((Ty::Unit, 0.0)),
+        Value::Bool(b) => Some((Ty::Bool, f64::from(*b))),
+        Value::Real(r) => Some((Ty::Real, *r)),
+        Value::Nat(n) => Some((Ty::Nat, f64::from_bits(*n))),
         Value::Dist(_) | Value::Closure { .. } => None,
     }
 }
 
-fn decode_slot(carrier: Carrier, x: f64, tag: u8) -> Result<Value, RunBail> {
-    Ok(match carrier {
-        Carrier::Real => Value::Real(x),
-        Carrier::Bool => Value::Bool(x == 1.0),
-        Carrier::Nat => Value::Nat(x.to_bits()),
-        Carrier::Dyn => match tag {
-            TAG_UNIT => Value::Unit,
-            TAG_BOOL => Value::Bool(x == 1.0),
-            TAG_REAL => Value::Real(x),
-            TAG_NAT => Value::Nat(x.to_bits()),
-            _ => return Err(RunBail::Block),
-        },
-    })
+fn decode_slot(carrier: Carrier, x: f64, tag: Ty) -> Value {
+    let ty = match carrier {
+        Carrier::Typed(ty) => ty,
+        Carrier::Dyn(_) => tag,
+    };
+    match ty {
+        Ty::Unit => Value::Unit,
+        Ty::Bool => Value::Bool(x == 1.0),
+        Ty::Real => Value::Real(x),
+        Ty::Nat => Value::Nat(x.to_bits()),
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -223,132 +282,294 @@ enum LaneDist {
     /// Parameters were constant: one shared distribution, eligible for the
     /// batched draw/score kernels.
     Const(Distribution),
-    /// Parameters depend on lane values: re-evaluated per lane from the
-    /// captured bindings.
-    Ctor {
-        expr: DistExpr,
-        binds: Vec<(Ident, SymValue)>,
-        /// The parameters' compiled real forms, for a scalar constructor.
-        real: Option<Box<[RealExpr]>>,
-    },
+    /// A constructor whose parameters depend on lane values, each compiled
+    /// to a real-valued lane program.
+    Params { ctor: Ctor, args: Box<[LaneProg]> },
+    /// Parameters no lane program expresses: the evaluator builds each
+    /// lane's distribution.
+    Eval(Fallback<DistExpr>),
 }
 
-/// One instruction of a [`RealExpr`].
-#[derive(Debug, Clone, Copy)]
-enum RealOp {
-    Const(f64),
-    /// A real-carrier slot.
-    Slot(usize),
-    /// A dynamic slot; lanes whose tag is not real leave the fast path.
-    Dyn(usize),
-    Un(UnOp),
-    Bin(BinOp),
-}
-
-/// Deepest operand stack a [`RealExpr`] may need.
-const REAL_DEPTH: usize = 8;
-
-/// A per-lane expression over reals (arithmetic, `exp`/`ln`/`sqrt`, and a
-/// comparison at the root), compiled to postfix so a lane evaluates it
-/// without building an environment or boxing values.  It computes what
-/// the evaluator computes, in the same order, so results are
-/// bit-identical; any other shape keeps the evaluator.
-#[derive(Debug, Clone)]
-struct RealExpr {
-    code: Box<[RealOp]>,
-    /// The root is a comparison: the result is a Boolean, `1.0` or `0.0`.
-    boolean: bool,
-}
-
-impl RealExpr {
-    fn compile(e: &Expr, binds: &[(Ident, SymValue)], carriers: &[Carrier]) -> Option<RealExpr> {
-        fn real(
-            e: &Expr,
-            binds: &[(Ident, SymValue)],
-            carriers: &[Carrier],
-            code: &mut Vec<RealOp>,
-        ) -> Option<()> {
-            match e {
-                Expr::Real(c) => code.push(RealOp::Const(*c)),
-                Expr::Var(x) => match &binds.iter().find(|(name, _)| name == x)?.1 {
-                    SymValue::Const(Value::Real(c)) => code.push(RealOp::Const(*c)),
-                    SymValue::Slot(s) => code.push(match carriers[*s] {
-                        Carrier::Real => RealOp::Slot(*s),
-                        Carrier::Dyn => RealOp::Dyn(*s),
-                        Carrier::Bool | Carrier::Nat => return None,
-                    }),
-                    SymValue::Const(_) => return None,
-                },
-                // `real(x)` is the identity on reals.
-                Expr::UnOp(UnOp::ToReal, a) => real(a, binds, carriers, code)?,
-                Expr::UnOp(op @ (UnOp::Neg | UnOp::Exp | UnOp::Ln | UnOp::Sqrt), a) => {
-                    real(a, binds, carriers, code)?;
-                    code.push(RealOp::Un(*op));
-                }
-                Expr::BinOp(op @ (BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div), a, b) => {
-                    real(a, binds, carriers, code)?;
-                    real(b, binds, carriers, code)?;
-                    code.push(RealOp::Bin(*op));
-                }
-                _ => return None,
-            }
-            Some(())
-        }
-        let mut code = Vec::new();
-        let boolean = match e {
-            Expr::BinOp(op @ (BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge | BinOp::Eq), a, b) => {
-                real(a, binds, carriers, &mut code)?;
-                real(b, binds, carriers, &mut code)?;
-                code.push(RealOp::Bin(*op));
-                true
-            }
-            _ => {
-                real(e, binds, carriers, &mut code)?;
-                false
-            }
+impl LaneDist {
+    /// Compiles a constructor's parameters, read through `as_f64` as
+    /// `eval_dist_in` reads them.
+    fn compile(d: &DistExpr, binds: Vec<(Ident, SymValue)>, carriers: &[Carrier]) -> LaneDist {
+        let args = (d.args().into_iter())
+            .map(|a| {
+                let mut c = LaneCompiler::new(&binds, carriers);
+                let ty = c.expr(a)?;
+                c.real(ty, 0)?;
+                c.finish(Ty::Real)
+            })
+            .collect::<Option<_>>();
+        let Some(args) = args else {
+            return LaneDist::Eval(Fallback {
+                expr: d.clone(),
+                binds,
+            });
         };
-        let mut depth = 0usize;
-        for op in &code {
-            depth = match op {
-                RealOp::Const(_) | RealOp::Slot(_) | RealOp::Dyn(_) => depth + 1,
-                RealOp::Un(_) => depth,
-                RealOp::Bin(_) => depth - 1,
-            };
-            if depth > REAL_DEPTH {
-                return None;
-            }
+        LaneDist::Params {
+            ctor: Ctor::of(d),
+            args,
         }
-        Some(RealExpr {
-            code: code.into(),
-            boolean,
+    }
+
+    fn carrier(&self) -> Carrier {
+        match self {
+            LaneDist::Const(d) => class_of_kind(d.kind()),
+            LaneDist::Params { ctor, .. } => ctor.carrier(),
+            LaneDist::Eval(f) => Ctor::of(&f.expr).carrier(),
+        }
+    }
+}
+
+/// A per-lane computation left to the evaluator: the expression and the
+/// symbolic values of its free variables, bound afresh for every lane.
+#[derive(Debug, Clone)]
+struct Fallback<E> {
+    expr: E,
+    binds: Vec<(Ident, SymValue)>,
+}
+
+/// A per-lane expression: its lane program, or the evaluator for a shape
+/// no lane program expresses (an expression-level `let`, a lambda
+/// application, an operand stack deeper than [`LANE_DEPTH`]).
+#[derive(Debug, Clone)]
+enum LaneExpr {
+    Prog(LaneProg),
+    Eval(Fallback<Expr>),
+}
+
+impl LaneExpr {
+    fn compile(e: &Expr, binds: Vec<(Ident, SymValue)>, carriers: &[Carrier]) -> LaneExpr {
+        let mut c = LaneCompiler::new(&binds, carriers);
+        match c.expr(e).and_then(|ty| c.finish(ty)) {
+            Some(prog) => LaneExpr::Prog(prog),
+            None => LaneExpr::Eval(Fallback {
+                expr: e.clone(),
+                binds,
+            }),
+        }
+    }
+
+    /// The carrier of a slot holding its lane results.
+    fn carrier(&self) -> Carrier {
+        match self {
+            LaneExpr::Prog(p) => Carrier::Typed(p.ty),
+            LaneExpr::Eval(_) => Carrier::Dyn(None),
+        }
+    }
+}
+
+/// One instruction of a [`LaneProg`].  Operands sit on the stack encoded
+/// as in the slot columns, and each instruction knows their types.
+#[derive(Debug, Clone, Copy)]
+enum LaneOp {
+    /// Push an encoded constant.
+    Const(f64),
+    /// Push a slot whose carrier fixes its type.
+    Slot(u32),
+    /// Push a dynamic slot whose lane must hold this type; a lane holding
+    /// another leaves the program.
+    Dyn(u32, Ty),
+    /// `as_f64` on the natural this many entries below the top.
+    NatToReal(u8),
+    /// `-`, `exp`, `ln`, `sqrt` on a real; `!` on a Boolean.
+    Un(UnOp),
+    /// Arithmetic and comparisons on reals, `==` on Booleans, `&&`, `||`.
+    Bin(BinOp),
+    /// `+` and `*` on naturals, checked (overflow leaves the program), and
+    /// `==` on naturals, comparing the `u64`s.
+    Nat(BinOp),
+    /// Pop a Boolean and continue at this index when it is false.
+    JumpUnless(u32),
+    /// Continue at this index.
+    Jump(u32),
+}
+
+/// Deepest operand stack a [`LaneProg`] may use.
+const LANE_DEPTH: usize = 8;
+
+/// A per-lane expression of the first-order base-typed fragment (Fig. 12)
+/// over lane slots and constants of every carrier: `if`, `!`, `&&`, `||`,
+/// comparisons, arithmetic on reals and naturals, `real(n)`, and the
+/// parameters of distribution constructors.  It is compiled to postfix
+/// with forward jumps, every operand's type fixed at plan time, so a lane
+/// runs it without building an environment or boxing values.
+///
+/// It computes what `eval_expr_in` computes, bit for bit: the same `f64`
+/// or `u64` operation on the same operands, both operands of `&&` and
+/// `||`, and only the taken arm of an `if`.  `==` on two naturals compares
+/// the `u64`s; comparisons and mixed operands go through `as_f64`.  Where
+/// the evaluator would error on a lane (a natural overflows), or a
+/// dynamic slot holds another type than its procedure declares,
+/// [`LaneProg::eval`] returns `None` and the block reruns scalar, which
+/// reports the exact error.  Shapes that always error (`-` on naturals,
+/// operands of the wrong type) do not compile.
+#[derive(Debug, Clone)]
+struct LaneProg {
+    code: Box<[LaneOp]>,
+    /// The type of every lane's result.
+    ty: Ty,
+}
+
+/// Compiles one expression into a [`LaneProg`], tracking the stack depth.
+struct LaneCompiler<'a> {
+    binds: &'a [(Ident, SymValue)],
+    carriers: &'a [Carrier],
+    code: Vec<LaneOp>,
+    depth: usize,
+    max_depth: usize,
+}
+
+impl<'a> LaneCompiler<'a> {
+    fn new(binds: &'a [(Ident, SymValue)], carriers: &'a [Carrier]) -> Self {
+        LaneCompiler {
+            binds,
+            carriers,
+            code: Vec::new(),
+            depth: 0,
+            max_depth: 0,
+        }
+    }
+
+    fn finish(self, ty: Ty) -> Option<LaneProg> {
+        (self.max_depth <= LANE_DEPTH).then(|| LaneProg {
+            code: self.code.into(),
+            ty,
         })
     }
 
-    /// The parameters of a scalar constructor, compiled.
-    fn compile_ctor(
-        d: &DistExpr,
-        binds: &[(Ident, SymValue)],
-        carriers: &[Carrier],
-    ) -> Option<Box<[RealExpr]>> {
-        if matches!(d, DistExpr::Categorical(_)) {
-            return None;
+    fn emit(&mut self, op: LaneOp) {
+        match op {
+            LaneOp::Const(_) | LaneOp::Slot(_) | LaneOp::Dyn(..) => self.depth += 1,
+            LaneOp::Bin(_) | LaneOp::Nat(_) | LaneOp::JumpUnless(_) => self.depth -= 1,
+            LaneOp::NatToReal(_) | LaneOp::Un(_) | LaneOp::Jump(_) => {}
         }
-        let args = d.args().into_iter();
-        args.map(|a| RealExpr::compile(a, binds, carriers).filter(|r| !r.boolean))
-            .collect()
+        self.max_depth = self.max_depth.max(self.depth);
+        self.code.push(op);
     }
 
-    /// Lane `l`'s value, or `None` where a dynamic slot holds a non-real.
-    fn eval(&self, slots: &[Vec<f64>], tags: &[Vec<u8>], l: usize) -> Option<f64> {
-        let mut stack = [0.0f64; REAL_DEPTH];
-        let mut sp = 0;
-        for op in self.code.iter() {
-            let x = match *op {
-                RealOp::Const(c) => c,
-                RealOp::Slot(s) => slots[s][l],
-                RealOp::Dyn(s) if tags[s][l] == TAG_REAL => slots[s][l],
-                RealOp::Dyn(_) => return None,
-                RealOp::Un(op) => {
+    /// Compiles `e` onto the code and returns its type, or `None` for a
+    /// shape no lane program expresses.
+    fn expr(&mut self, e: &Expr) -> Option<Ty> {
+        let (op, ty) = match e {
+            Expr::Triv => (LaneOp::Const(0.0), Ty::Unit),
+            Expr::Bool(b) => (LaneOp::Const(f64::from(*b)), Ty::Bool),
+            Expr::Real(r) => (LaneOp::Const(*r), Ty::Real),
+            Expr::Nat(n) => (LaneOp::Const(f64::from_bits(*n)), Ty::Nat),
+            Expr::Var(x) => match &self.binds.iter().find(|(name, _)| name == x)?.1 {
+                SymValue::Const(v) => {
+                    let (ty, c) = encode_value(v)?;
+                    (LaneOp::Const(c), ty)
+                }
+                SymValue::Slot(s) => match self.carriers[*s] {
+                    Carrier::Typed(ty) => (LaneOp::Slot(*s as u32), ty),
+                    Carrier::Dyn(ty) => (LaneOp::Dyn(*s as u32, ty?), ty?),
+                },
+            },
+            Expr::If(c, a, b) => return self.cond(c, a, b),
+            Expr::UnOp(op, a) => return self.unop(*op, a),
+            Expr::BinOp(op, a, b) => return self.binop(*op, a, b),
+            Expr::Lam(..) | Expr::App(..) | Expr::Let(..) | Expr::Dist(_) => return None,
+        };
+        self.emit(op);
+        Some(ty)
+    }
+
+    /// `as_f64` on the operand `depth` entries below the top, of type `ty`
+    /// (`None`: the evaluator rejects it).
+    fn real(&mut self, ty: Ty, depth: u8) -> Option<()> {
+        match ty {
+            Ty::Real => Some(()),
+            Ty::Nat => {
+                self.emit(LaneOp::NatToReal(depth));
+                Some(())
+            }
+            Ty::Bool | Ty::Unit => None,
+        }
+    }
+
+    fn cond(&mut self, c: &Expr, a: &Expr, b: &Expr) -> Option<Ty> {
+        if self.expr(c)? != Ty::Bool {
+            return None;
+        }
+        let jump_unless = self.code.len();
+        self.emit(LaneOp::JumpUnless(0));
+        let depth = self.depth;
+        let ty = self.expr(a)?;
+        let jump = self.code.len();
+        self.emit(LaneOp::Jump(0));
+        self.code[jump_unless] = LaneOp::JumpUnless(self.code.len() as u32);
+        self.depth = depth;
+        if self.expr(b)? != ty {
+            return None;
+        }
+        self.code[jump] = LaneOp::Jump(self.code.len() as u32);
+        Some(ty)
+    }
+
+    fn unop(&mut self, op: UnOp, a: &Expr) -> Option<Ty> {
+        let ty = self.expr(a)?;
+        match op {
+            UnOp::Not if ty == Ty::Bool => self.emit(LaneOp::Un(op)),
+            UnOp::Not => return None,
+            // `real(x)` is `as_f64`.
+            UnOp::ToReal => self.real(ty, 0)?,
+            UnOp::Neg | UnOp::Exp | UnOp::Ln | UnOp::Sqrt => {
+                self.real(ty, 0)?;
+                self.emit(LaneOp::Un(op));
+            }
+        }
+        Some(if op == UnOp::Not { Ty::Bool } else { Ty::Real })
+    }
+
+    fn binop(&mut self, op: BinOp, a: &Expr, b: &Expr) -> Option<Ty> {
+        let (ta, tb) = (self.expr(a)?, self.expr(b)?);
+        match (op, ta, tb) {
+            (BinOp::And | BinOp::Or | BinOp::Eq, Ty::Bool, Ty::Bool) => self.emit(LaneOp::Bin(op)),
+            (BinOp::And | BinOp::Or, ..) => return None,
+            (BinOp::Add | BinOp::Mul | BinOp::Eq, Ty::Nat, Ty::Nat) => {
+                self.emit(LaneOp::Nat(op));
+            }
+            // `-` and `/` on two naturals always error.
+            (BinOp::Sub | BinOp::Div, Ty::Nat, Ty::Nat) => return None,
+            _ => {
+                self.real(ta, 1)?;
+                self.real(tb, 0)?;
+                self.emit(LaneOp::Bin(op));
+            }
+        }
+        Some(match op {
+            BinOp::Add | BinOp::Mul if (ta, tb) == (Ty::Nat, Ty::Nat) => Ty::Nat,
+            BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div => Ty::Real,
+            _ => Ty::Bool,
+        })
+    }
+}
+
+impl LaneProg {
+    /// Lane `l`'s encoded result, or `None` where the evaluator would
+    /// error or a dynamic slot holds another type than expected.
+    // Forced inline into the few per-lane loops that run programs: most
+    // programs are one or two ops, so the call would cost as much.
+    #[inline(always)]
+    fn eval(&self, slots: &[Vec<f64>], tags: &[Vec<Ty>], l: usize) -> Option<f64> {
+        let mut stack = [0.0f64; LANE_DEPTH];
+        let (mut sp, mut pc) = (0, 0);
+        while let Some(&op) = self.code.get(pc) {
+            pc += 1;
+            let x = match op {
+                LaneOp::Const(c) => c,
+                LaneOp::Slot(s) => slots[s as usize][l],
+                LaneOp::Dyn(s, ty) if tags[s as usize][l] == ty => slots[s as usize][l],
+                LaneOp::Dyn(..) => return None,
+                LaneOp::NatToReal(depth) => {
+                    let n = &mut stack[sp - 1 - depth as usize];
+                    *n = n.to_bits() as f64;
+                    continue;
+                }
+                LaneOp::Un(op) => {
                     sp -= 1;
                     let a = stack[sp];
                     match op {
@@ -356,10 +577,11 @@ impl RealExpr {
                         UnOp::Exp => a.exp(),
                         UnOp::Ln => a.ln(),
                         UnOp::Sqrt => a.sqrt(),
-                        UnOp::Not | UnOp::ToReal => unreachable!("not compiled"),
+                        UnOp::Not => f64::from(a != 1.0),
+                        UnOp::ToReal => unreachable!("compiled to `NatToReal`"),
                     }
                 }
-                RealOp::Bin(op) => {
+                LaneOp::Bin(op) => {
                     sp -= 2;
                     let (a, b) = (stack[sp], stack[sp + 1]);
                     match op {
@@ -372,37 +594,35 @@ impl RealExpr {
                         BinOp::Gt => f64::from(a > b),
                         BinOp::Ge => f64::from(a >= b),
                         BinOp::Eq => f64::from(a == b),
-                        BinOp::And | BinOp::Or => unreachable!("not compiled"),
+                        BinOp::And => f64::from(a == 1.0 && b == 1.0),
+                        BinOp::Or => f64::from(a == 1.0 || b == 1.0),
                     }
+                }
+                LaneOp::Nat(op) => {
+                    sp -= 2;
+                    let (a, b) = (stack[sp].to_bits(), stack[sp + 1].to_bits());
+                    match op {
+                        BinOp::Add => f64::from_bits(a.checked_add(b)?),
+                        BinOp::Mul => f64::from_bits(a.checked_mul(b)?),
+                        _ => f64::from(a == b),
+                    }
+                }
+                LaneOp::JumpUnless(to) => {
+                    sp -= 1;
+                    if stack[sp] != 1.0 {
+                        pc = to as usize;
+                    }
+                    continue;
+                }
+                LaneOp::Jump(to) => {
+                    pc = to as usize;
+                    continue;
                 }
             };
             stack[sp] = x;
             sp += 1;
         }
         Some(stack[0])
-    }
-}
-
-/// Builds a scalar constructor from its evaluated parameters, as
-/// `eval_dist_in` does.
-fn scalar_ctor(d: &DistExpr, args: [f64; 2]) -> Result<Distribution, ppl_dist::DistError> {
-    let [a, b] = args;
-    match d {
-        DistExpr::Bernoulli(_) => Distribution::bernoulli(a),
-        DistExpr::Uniform => Ok(Distribution::uniform()),
-        DistExpr::Beta(..) => Distribution::beta(a, b),
-        DistExpr::Gamma(..) => Distribution::gamma(a, b),
-        DistExpr::Normal(..) => Distribution::normal(a, b),
-        DistExpr::Geometric(_) => Distribution::geometric(a),
-        DistExpr::Poisson(_) => Distribution::poisson(a),
-        DistExpr::Categorical(_) => unreachable!("categorical parameters are not compiled"),
-    }
-}
-
-fn class_of_dist(d: &LaneDist) -> Carrier {
-    match d {
-        LaneDist::Const(d) => class_of_kind(d.kind()),
-        LaneDist::Ctor { expr, .. } => class_of_ctor(expr),
     }
 }
 
@@ -420,9 +640,9 @@ enum ScoreVal {
 #[derive(Debug, Clone, Copy)]
 enum LaneVal {
     /// A constant, already encoded.
-    Const(u8, f64),
-    /// A slot, with its carrier's fixed tag (`None`: the tag column's).
-    Slot(usize, Option<u8>),
+    Const(Ty, f64),
+    /// A slot, with its carrier's fixed type (`None`: the tag column's).
+    Slot(usize, Option<Ty>),
 }
 
 /// The dynamic slots a [`Op::Call`]'s callee returns its model and guide
@@ -452,13 +672,8 @@ enum Op {
     },
     /// Accumulate a compile-time-known log-density term.
     ScoreConst { model: bool, w: f64 },
-    /// Evaluate an expression per lane into a dynamic slot.
-    Eval {
-        expr: Expr,
-        binds: Vec<(Ident, SymValue)>,
-        slot: usize,
-        real: Option<RealExpr>,
-    },
+    /// Evaluate an expression per lane into `slot`.
+    Eval { expr: LaneExpr, slot: usize },
     /// Record a `Fold` marker in each lane's trace.
     Fold,
     /// Record a constant branch direction in each lane's trace.
@@ -467,9 +682,7 @@ enum Op {
     /// branch is on the latent channel), and split the lane set between the
     /// two arms.  Always the last op of its arm.
     Fork {
-        pred: Expr,
-        binds: Vec<(Ident, SymValue)>,
-        real: Option<RealExpr>,
+        pred: LaneExpr,
         /// `Some(provider)` when a `DirP`/`DirC` message must be recorded.
         msg: Option<bool>,
         /// Indices of the two arms in [`BlockPlan::arms`].
@@ -534,7 +747,7 @@ enum PendingArm {
 /// Per argument of a call (the model's, then the guide's): its encoded
 /// constant, or `None` where it varies by lane and arrives in a parameter
 /// slot.
-type ArgKey = Vec<Option<(u8, u64)>>;
+type ArgKey = Vec<Option<(Ty, u64)>>;
 
 /// A procedure pair planned as its own arms, specialised on its arguments.
 #[derive(Debug)]
@@ -638,10 +851,7 @@ enum SymPending {
 #[derive(Debug, Clone)]
 enum SymBool {
     Const(bool),
-    Lane {
-        pred: Expr,
-        binds: Vec<(Ident, SymValue)>,
-    },
+    Lane(LaneExpr),
 }
 
 /// A symbolic suspension, mirroring [`crate::coroutine::Suspend`].
@@ -698,14 +908,11 @@ enum SymResume {
 }
 
 /// Lazily evaluated expression: constant-folded, a direct slot alias, or a
-/// per-lane computation with its captured bindings.
+/// per-lane computation.
 enum LazyVal {
     Const(Value),
     Slot(usize),
-    Lane {
-        expr: Expr,
-        binds: Vec<(Ident, SymValue)>,
-    },
+    Lane(LaneExpr),
 }
 
 impl SymCo {
@@ -812,10 +1019,11 @@ fn sym_eval_lazy(cx: &mut PlanCx<'_>, co: &SymCo, e: &Expr) -> Result<LazyVal, H
         _ => {}
     }
     if let Some(binds) = capture(cx, co, e.free_vars())? {
-        return Ok(LazyVal::Lane {
-            expr: e.clone(),
+        return Ok(LazyVal::Lane(LaneExpr::compile(
+            e,
             binds,
-        });
+            &cx.plan.carriers,
+        )));
     }
     match eval_expr_in(&mut cx.scratch, e) {
         Ok(Value::Closure { .. }) => Err(Halt::Bail(Bail("closure crosses a site"))),
@@ -836,15 +1044,9 @@ fn sym_eval(
     match sym_eval_lazy(cx, co, e)? {
         LazyVal::Const(v) => Ok(SymValue::Const(v)),
         LazyVal::Slot(s) => Ok(SymValue::Slot(s)),
-        LazyVal::Lane { expr, binds } => {
-            let slot = cx.new_slot(Carrier::Dyn)?;
-            let real = RealExpr::compile(&expr, &binds, &cx.plan.carriers);
-            ops.push(Op::Eval {
-                expr,
-                binds,
-                slot,
-                real,
-            });
+        LazyVal::Lane(expr) => {
+            let slot = cx.new_slot(expr.carrier())?;
+            ops.push(Op::Eval { expr, slot });
             Ok(SymValue::Slot(slot))
         }
     }
@@ -857,12 +1059,7 @@ fn sym_eval_dist(cx: &mut PlanCx<'_>, co: &SymCo, node: &DistNode) -> Result<Lan
         DistNode::Ctor(ctor) => {
             let vars = ctor.args().into_iter().flat_map(|arg| arg.free_vars());
             if let Some(binds) = capture(cx, co, vars)? {
-                let real = RealExpr::compile_ctor(ctor, &binds, &cx.plan.carriers);
-                return Ok(LaneDist::Ctor {
-                    expr: ctor.clone(),
-                    binds,
-                    real,
-                });
+                return Ok(LaneDist::compile(ctor, binds, &cx.plan.carriers));
             }
             match eval_dist_in(&mut cx.scratch, ctor) {
                 Ok(d) => Ok(LaneDist::Const(d)),
@@ -984,17 +1181,25 @@ fn sym_drive(cx: &mut PlanCx<'_>, co: &mut SymCo, ops: &mut Vec<Op>) -> Result<S
                                         let Expr::Var(x) = pred else {
                                             return Err(Bail("slot alias on non-variable"));
                                         };
-                                        SymBool::Lane {
-                                            pred: pred.clone(),
-                                            binds: vec![(*x, SymValue::Slot(s))],
-                                        }
+                                        let binds = vec![(*x, SymValue::Slot(s))];
+                                        SymBool::Lane(LaneExpr::compile(
+                                            pred,
+                                            binds,
+                                            &cx.plan.carriers,
+                                        ))
                                     }
-                                    Ok(LazyVal::Lane { expr, binds }) => {
-                                        SymBool::Lane { pred: expr, binds }
-                                    }
+                                    Ok(LazyVal::Lane(pred)) => SymBool::Lane(pred),
                                     Err(Halt::Fails) => return Ok(SymStep::Fails),
                                     Err(Halt::Bail(b)) => return Err(b),
                                 };
+                                // A predicate compiled to another type than
+                                // `bool` selects no branch: the path reruns
+                                // scalar, which reports the error.
+                                if let SymBool::Lane(LaneExpr::Prog(p)) = &selection {
+                                    if p.ty != Ty::Bool {
+                                        return Ok(SymStep::Fails);
+                                    }
+                                }
                                 co.control =
                                     SymControl::Await(SymPending::BranchSend { node: cmd });
                                 return Ok(SymStep::Suspended(SymSuspend::BranchSend {
@@ -1130,7 +1335,9 @@ fn emit_score(cx: &PlanCx<'_>, ops: &mut Vec<Op>, model: bool, dist: LaneDist, v
                 });
             }
         }
-        (LaneDist::Ctor { .. }, _) => ops.push(Op::Score { model, dist, value }),
+        (LaneDist::Params { .. } | LaneDist::Eval(_), _) => {
+            ops.push(Op::Score { model, dist, value });
+        }
     }
 }
 
@@ -1194,8 +1401,7 @@ fn fork(
     cx: &mut PlanCx<'_>,
     mut ops: Vec<Op>,
     st: SymJoint,
-    pred: Expr,
-    binds: Vec<(Ident, SymValue)>,
+    pred: LaneExpr,
     msg: Option<bool>,
     kind: ForkKind,
 ) -> Vec<Op> {
@@ -1204,11 +1410,8 @@ fn fork(
         let arm = PendingArm::Fork { st, sel, kind };
         cx.plan.arms.push(Arm::Pending(arm));
     }
-    let real = RealExpr::compile(&pred, &binds, &cx.plan.carriers).filter(|r| r.boolean);
     ops.push(Op::Fork {
         pred,
-        binds,
-        real,
         msg,
         then_arm,
         else_arm: then_arm + 1,
@@ -1331,13 +1534,11 @@ fn call_key(cx: &PlanCx<'_>, st: &SymJoint) -> Option<(ProcId, ProcId, ArgKey)> 
     Some((model, guide, key))
 }
 
-/// The tag a slot's carrier fixes for every lane (`None`: dynamic).
-fn carrier_tag(carrier: Carrier) -> Option<u8> {
+/// The type a slot's carrier fixes for every lane (`None`: dynamic).
+fn carrier_tag(carrier: Carrier) -> Option<Ty> {
     match carrier {
-        Carrier::Real => Some(TAG_REAL),
-        Carrier::Bool => Some(TAG_BOOL),
-        Carrier::Nat => Some(TAG_NAT),
-        Carrier::Dyn => None,
+        Carrier::Typed(ty) => Some(ty),
+        Carrier::Dyn(_) => None,
     }
 }
 
@@ -1384,8 +1585,14 @@ impl PlanCx<'_> {
                 return Ok(i);
             }
         }
-        let params = (key.iter())
-            .map(|k| k.is_none().then(|| self.new_slot(Carrier::Dyn)).transpose())
+        // A lane-varying argument's slot expects its declared type.
+        let declared = (st.model.prog.proc(model).param_types.iter())
+            .chain(&st.guide.prog.proc(guide).param_types);
+        let params = (key.iter().zip(declared))
+            .map(|(k, t)| {
+                let carrier = Carrier::Dyn(Ty::of_base(t));
+                k.is_none().then(|| self.new_slot(carrier)).transpose()
+            })
             .collect::<Result<Vec<_>, _>>()?;
         let mut binds = params.iter().zip(args).map(|(p, arg)| match p {
             Some(p) => SymValue::Slot(*p),
@@ -1427,7 +1634,7 @@ fn call(
         .collect();
     let callee = cx.callee(&st, key, &args)?;
     let callee = &cx.plan.callees[callee];
-    let entry = callee.entry;
+    let (entry, model, guide) = (callee.entry, callee.model, callee.guide);
     let mut moves = Vec::new();
     for (param, arg) in callee.params.iter().zip(&args) {
         match (param, arg) {
@@ -1445,9 +1652,12 @@ fn call(
     live_slots(&st.guide, &mut live);
     live.sort_unstable();
     live.dedup();
+    // The returned values' slots expect the callees' declared types.
+    let ret_carrier =
+        |co: &SymCo, proc: ProcId| Carrier::Dyn(Ty::of_base(&co.prog.proc(proc).ret_ty));
     let ret = Ret {
-        model: cx.new_slot(Carrier::Dyn)?,
-        guide: cx.new_slot(Carrier::Dyn)?,
+        model: cx.new_slot(ret_carrier(&st.model, model))?,
+        guide: cx.new_slot(ret_carrier(&st.guide, guide))?,
     };
     st.model.control = SymControl::Return(SymValue::Slot(ret.model));
     st.guide.control = SymControl::Return(SymValue::Slot(ret.guide));
@@ -1542,8 +1752,8 @@ fn drive_path(cx: &mut PlanCx<'_>, mut st: SymJoint, mut ops: Vec<Op>) -> Result
                         st.mstep =
                             sym_resume(cx, &mut st.model, SymResume::AckBranch(sel), &mut ops)?;
                     }
-                    SymBool::Lane { pred, binds } => {
-                        return Ok(fork(cx, ops, st, pred, binds, None, ForkKind::ModelOnly));
+                    SymBool::Lane(pred) => {
+                        return Ok(fork(cx, ops, st, pred, None, ForkKind::ModelOnly));
                     }
                 },
                 _ => {
@@ -1569,7 +1779,7 @@ fn drive_path(cx: &mut PlanCx<'_>, mut st: SymJoint, mut ops: Vec<Op>) -> Result
                 SymSuspend::SampleRecv { chan: mc, dist: md },
                 SymSuspend::SampleSend { chan: gc, dist: gd },
             ) if mc == latent && gc == latent => {
-                let slot = cx.new_slot(class_of_dist(&gd))?;
+                let slot = cx.new_slot(gd.carrier())?;
                 ops.push(Op::Draw {
                     dist: gd.clone(),
                     slot,
@@ -1595,7 +1805,7 @@ fn drive_path(cx: &mut PlanCx<'_>, mut st: SymJoint, mut ops: Vec<Op>) -> Result
                 SymSuspend::SampleSend { chan: mc, dist: md },
                 SymSuspend::SampleRecv { chan: gc, dist: gd },
             ) if mc == latent && gc == latent => {
-                let slot = cx.new_slot(class_of_dist(&md))?;
+                let slot = cx.new_slot(md.carrier())?;
                 ops.push(Op::Draw {
                     dist: md.clone(),
                     slot,
@@ -1632,16 +1842,8 @@ fn drive_path(cx: &mut PlanCx<'_>, mut st: SymJoint, mut ops: Vec<Op>) -> Result
                     st.gstep = sym_resume(cx, &mut st.guide, SymResume::Branch(sel), &mut ops)?;
                     st.mstep = sym_resume(cx, &mut st.model, SymResume::AckBranch(sel), &mut ops)?;
                 }
-                SymBool::Lane { pred, binds } => {
-                    return Ok(fork(
-                        cx,
-                        ops,
-                        st,
-                        pred,
-                        binds,
-                        Some(false),
-                        ForkKind::ModelSends,
-                    ));
+                SymBool::Lane(pred) => {
+                    return Ok(fork(cx, ops, st, pred, Some(false), ForkKind::ModelSends));
                 }
             },
             // Guide directs a latent branch.
@@ -1660,16 +1862,8 @@ fn drive_path(cx: &mut PlanCx<'_>, mut st: SymJoint, mut ops: Vec<Op>) -> Result
                     st.mstep = sym_resume(cx, &mut st.model, SymResume::Branch(sel), &mut ops)?;
                     st.gstep = sym_resume(cx, &mut st.guide, SymResume::AckBranch(sel), &mut ops)?;
                 }
-                SymBool::Lane { pred, binds } => {
-                    return Ok(fork(
-                        cx,
-                        ops,
-                        st,
-                        pred,
-                        binds,
-                        Some(true),
-                        ForkKind::GuideSends,
-                    ));
+                SymBool::Lane(pred) => {
+                    return Ok(fork(cx, ops, st, pred, Some(true), ForkKind::GuideSends));
                 }
             },
             // Both coroutines fold on the latent channel together: call
@@ -1801,7 +1995,7 @@ pub(crate) struct BlockScratch {
     /// One `f64` column per slot.
     slots: Vec<Vec<f64>>,
     /// Tag columns for dynamic slots.
-    tags: Vec<Vec<u8>>,
+    tags: Vec<Vec<Ty>>,
     model_lw: Vec<f64>,
     guide_lw: Vec<f64>,
     traces: Vec<Trace>,
@@ -1811,18 +2005,16 @@ pub(crate) struct BlockScratch {
     fork_bufs: Vec<(Vec<u32>, Vec<u32>)>,
     /// The caller slots saved across the calls in flight, as
     /// `(value, tag)` per live slot per lane.
-    saved: Vec<(f64, u8)>,
+    saved: Vec<(f64, Ty)>,
     /// One lane's call arguments during a parallel move.
-    arg_buf: Vec<(u8, f64)>,
+    arg_buf: Vec<(Ty, f64)>,
+    /// One lane's distribution parameters.
+    param_buf: Vec<f64>,
     score_buf: Vec<f64>,
     sample_buf: Vec<Sample>,
     eval_stack: ValueStack,
     finished: Vec<Option<(Value, Value, u32)>>,
 }
-
-/// A fork predicate: the expression, its captured bindings and its
-/// compiled real form.
-type LanePred<'a> = (&'a Expr, &'a [(Ident, SymValue)], Option<&'a RealExpr>);
 
 /// The plan interpreter over the structure-of-arrays lane buffers; it
 /// plans pending arms as lanes reach them.
@@ -1833,18 +2025,20 @@ struct Runner<'p, 's> {
     plan: &'s mut BlockPlan,
     rngs: &'s mut [Pcg32],
     slots: &'s mut Vec<Vec<f64>>,
-    tags: &'s mut Vec<Vec<u8>>,
+    tags: &'s mut Vec<Vec<Ty>>,
     model_lw: &'s mut [f64],
     guide_lw: &'s mut [f64],
     traces: &'s mut [Trace],
     fork_bufs: &'s mut Vec<(Vec<u32>, Vec<u32>)>,
-    saved: &'s mut Vec<(f64, u8)>,
-    arg_buf: &'s mut Vec<(u8, f64)>,
+    saved: &'s mut Vec<(f64, Ty)>,
+    arg_buf: &'s mut Vec<(Ty, f64)>,
+    param_buf: &'s mut Vec<f64>,
     score_buf: &'s mut [f64],
     sample_buf: &'s mut [Sample],
     eval_stack: &'s mut ValueStack,
     finished: &'s mut [Option<(Value, Value, u32)>],
-    /// The worker's counts, bumped once per arm or fork, never per op.
+    /// The worker's counts, bumped once per arm, fork or evaluator op,
+    /// never per lane.
     counts: &'s mut RunCounts,
 }
 
@@ -1872,9 +2066,9 @@ fn weights<'a>(model: bool, model_lw: &'a mut [f64], guide_lw: &'a mut [f64]) ->
 
 impl Runner<'_, '_> {
     /// Lane `lane`'s value of `sv`.
-    fn decode(&self, sv: &SymValue, lane: usize) -> Result<Value, RunBail> {
+    fn decode(&self, sv: &SymValue, lane: usize) -> Value {
         match sv {
-            SymValue::Const(v) => Ok(v.clone()),
+            SymValue::Const(v) => v.clone(),
             SymValue::Slot(s) => decode_slot(
                 self.plan.carriers[*s],
                 self.slots[*s][lane],
@@ -1883,15 +2077,14 @@ impl Runner<'_, '_> {
         }
     }
 
-    /// Rebuilds the evaluation stack from lane `lane`'s values of an
-    /// expression's free variables.
-    fn bind(&mut self, binds: &[(Ident, SymValue)], lane: usize) -> Result<(), RunBail> {
+    /// Rebuilds the evaluation stack from lane `lane`'s values of a
+    /// fallback's free variables.
+    fn bind(&mut self, binds: &[(Ident, SymValue)], lane: usize) {
         self.eval_stack.clear();
         for (x, sv) in binds {
-            let v = self.decode(sv, lane)?;
+            let v = self.decode(sv, lane);
             self.eval_stack.push(*x, v);
         }
-        Ok(())
     }
 
     /// Records lane `l`'s drawn value in its trace and in `slot`.
@@ -1909,17 +2102,18 @@ impl Runner<'_, '_> {
     fn split(
         &mut self,
         lanes: &[u32],
-        (pred, binds, real): LanePred<'_>,
+        pred: &LaneExpr,
         msg: Option<bool>,
         then_lanes: &mut Vec<u32>,
         else_lanes: &mut Vec<u32>,
     ) -> Result<(), RunBail> {
         then_lanes.clear();
         else_lanes.clear();
+        self.count_evaluator(matches!(pred, LaneExpr::Eval(_)), lanes);
         for &l in lanes {
             let lu = l as usize;
-            let sel = match self.eval_lane(pred, binds, real, lu)? {
-                (TAG_BOOL, x) => x == 1.0,
+            let sel = match self.eval_lane(pred, lu)? {
+                (Ty::Bool, x) => x == 1.0,
                 _ => return Err(RunBail::Block),
             };
             if let Some(provider) = msg {
@@ -1938,51 +2132,72 @@ impl Runner<'_, '_> {
         Ok(())
     }
 
-    /// Lane `l`'s value of a per-lane expression, as `(tag, bits)`: from
-    /// its compiled real form where it has one, else from the evaluator.
-    // Forced inline, like `dist_lane`: as an out-of-line call it cost the
-    // evaluator path ~10 ns a lane (gmm and branching ~6 % per particle).
-    #[inline(always)]
-    fn eval_lane(
-        &mut self,
-        expr: &Expr,
-        binds: &[(Ident, SymValue)],
-        real: Option<&RealExpr>,
-        l: usize,
-    ) -> Result<(u8, f64), RunBail> {
-        if let Some(r) = real {
-            if let Some(x) = r.eval(self.slots, self.tags, l) {
-                return Ok((if r.boolean { TAG_BOOL } else { TAG_REAL }, x));
-            }
+    /// Counts `lanes` as evaluator lanes when an op leaves them to the
+    /// evaluator.
+    fn count_evaluator(&mut self, fallback: bool, lanes: &[u32]) {
+        if fallback {
+            self.counts.evaluator_lanes += lanes.len() as u64;
         }
-        self.bind(binds, l)?;
-        let v = eval_expr_in(&mut *self.eval_stack, expr).map_err(|_| RunBail::Block)?;
+    }
+
+    /// Lane `l`'s value of a per-lane expression, as `(type, bits)`.
+    // Forced inline into the ops' per-lane loops; the evaluator stays out
+    // of line.
+    #[inline(always)]
+    fn eval_lane(&mut self, expr: &LaneExpr, l: usize) -> Result<(Ty, f64), RunBail> {
+        match expr {
+            LaneExpr::Prog(p) => match p.eval(self.slots, self.tags, l) {
+                Some(x) => Ok((p.ty, x)),
+                None => Err(RunBail::Block),
+            },
+            LaneExpr::Eval(f) => self.eval_fallback(f, l),
+        }
+    }
+
+    #[cold]
+    fn eval_fallback(&mut self, f: &Fallback<Expr>, l: usize) -> Result<(Ty, f64), RunBail> {
+        self.bind(&f.binds, l);
+        let v = eval_expr_in(&mut *self.eval_stack, &f.expr).map_err(|_| RunBail::Block)?;
         encode_value(&v).ok_or(RunBail::Block)
     }
 
     /// Lane `l`'s distribution at a per-lane constructor site.
     #[inline(always)]
-    fn dist_lane(
-        &mut self,
-        expr: &DistExpr,
-        binds: &[(Ident, SymValue)],
-        real: Option<&[RealExpr]>,
-        l: usize,
-    ) -> Result<Distribution, RunBail> {
-        if let Some(args) = real {
-            let mut xs = [0.0; 2];
-            let (slots, tags) = (&*self.slots, &*self.tags);
-            let mut args = args.iter().zip(&mut xs);
-            if args.all(|(a, x)| a.eval(slots, tags, l).map(|v| *x = v).is_some()) {
-                return scalar_ctor(expr, xs).map_err(|_| RunBail::Block);
+    fn dist_lane(&mut self, dist: &LaneDist, l: usize) -> Result<Distribution, RunBail> {
+        match dist {
+            LaneDist::Const(d) => Ok(d.clone()),
+            LaneDist::Params { ctor, args } => {
+                let (slots, tags) = (&*self.slots, &*self.tags);
+                let arg = |a: &LaneProg| a.eval(slots, tags, l).ok_or(RunBail::Block);
+                // Scalar constructors take at most two parameters: keep
+                // them on the stack.
+                let built = if args.len() <= 2 {
+                    let mut xs = [0.0; 2];
+                    for (a, x) in args.iter().zip(&mut xs) {
+                        *x = arg(a)?;
+                    }
+                    ctor.build(&xs[..args.len()])
+                } else {
+                    self.param_buf.clear();
+                    for a in args.iter() {
+                        self.param_buf.push(arg(a)?);
+                    }
+                    ctor.build(self.param_buf)
+                };
+                built.map_err(|_| RunBail::Block)
             }
+            LaneDist::Eval(f) => self.dist_fallback(f, l),
         }
-        self.bind(binds, l)?;
-        eval_dist_in(&mut *self.eval_stack, expr).map_err(|_| RunBail::Block)
     }
 
-    /// Lane `l`'s `(tag, bits)` of a value crossing a call boundary.
-    fn lane_val(&self, v: LaneVal, l: usize) -> (u8, f64) {
+    #[cold]
+    fn dist_fallback(&mut self, f: &Fallback<DistExpr>, l: usize) -> Result<Distribution, RunBail> {
+        self.bind(&f.binds, l);
+        eval_dist_in(&mut *self.eval_stack, &f.expr).map_err(|_| RunBail::Block)
+    }
+
+    /// Lane `l`'s `(type, bits)` of a value crossing a call boundary.
+    fn lane_val(&self, v: LaneVal, l: usize) -> (Ty, f64) {
         match v {
             LaneVal::Const(tag, x) => (tag, x),
             LaneVal::Slot(s, tag) => (tag.unwrap_or(self.tags[s][l]), self.slots[s][l]),
@@ -2046,14 +2261,11 @@ impl Runner<'_, '_> {
             match last {
                 Op::Fork {
                     pred,
-                    binds,
-                    real,
                     msg,
                     then_arm,
                     else_arm,
                 } => {
                     let arms = (*then_arm, *else_arm);
-                    let pred = (pred, &binds[..], real.as_ref());
                     match self.fork(lanes, pred, *msg, arms, depth, ret)? {
                         Some(next) => arm = next,
                         None => return Ok(()),
@@ -2091,8 +2303,8 @@ impl Runner<'_, '_> {
                 } => {
                     for &l in lanes {
                         let l = l as usize;
-                        let mv = self.decode(model_value, l)?;
-                        let gv = self.decode(guide_value, l)?;
+                        let mv = self.decode(model_value, l);
+                        let gv = self.decode(guide_value, l);
                         self.finished[l] = Some((mv, gv, *obs_used));
                     }
                     return Ok(());
@@ -2108,7 +2320,7 @@ impl Runner<'_, '_> {
     fn fork(
         &mut self,
         lanes: &[u32],
-        pred: LanePred<'_>,
+        pred: &LaneExpr,
         msg: Option<bool>,
         (then_arm, else_arm): (usize, usize),
         depth: usize,
@@ -2210,10 +2422,11 @@ impl Runner<'_, '_> {
                         self.record_draw(l, *slot, *provider, s);
                     }
                 }
-                LaneDist::Ctor { expr, binds, real } => {
+                LaneDist::Params { .. } | LaneDist::Eval(_) => {
+                    self.count_evaluator(matches!(dist, LaneDist::Eval(_)), lanes);
                     for &l in lanes {
                         let l = l as usize;
-                        let d = self.dist_lane(expr, binds, real.as_deref(), l)?;
+                        let d = self.dist_lane(dist, l)?;
                         let s = d.draw(&mut self.rngs[l]);
                         self.record_draw(l, *slot, *provider, s);
                     }
@@ -2223,7 +2436,7 @@ impl Runner<'_, '_> {
                 (LaneDist::Const(d), ScoreVal::Slot(s)) => {
                     let carrier = self.plan.carriers[*s];
                     let lw = weights(*model, self.model_lw, self.guide_lw);
-                    if full && matches!(carrier, Carrier::Real | Carrier::Bool) {
+                    if full && matches!(carrier, Carrier::Typed(Ty::Real | Ty::Bool)) {
                         d.log_density_batch(&self.slots[*s][..self.count], self.score_buf);
                         for &l in lanes.iter() {
                             let l = l as usize;
@@ -2245,10 +2458,11 @@ impl Runner<'_, '_> {
                         lw[l as usize] += w;
                     }
                 }
-                (LaneDist::Ctor { expr, binds, real }, value) => {
+                (dist, value) => {
+                    self.count_evaluator(matches!(dist, LaneDist::Eval(_)), lanes);
                     for &l in lanes {
                         let l = l as usize;
-                        let d = self.dist_lane(expr, binds, real.as_deref(), l)?;
+                        let d = self.dist_lane(dist, l)?;
                         let sample = match value {
                             ScoreVal::Sample(v) => *v,
                             ScoreVal::Slot(s) => {
@@ -2266,16 +2480,12 @@ impl Runner<'_, '_> {
                     lw[l as usize] += *w;
                 }
             }
-            Op::Eval {
-                expr,
-                binds,
-                slot,
-                real,
-            } => {
+            Op::Eval { expr, slot } => {
+                self.count_evaluator(matches!(expr, LaneExpr::Eval(_)), lanes);
                 for &l in lanes {
                     let l = l as usize;
-                    let (tag, x) = self.eval_lane(expr, binds, real.as_ref(), l)?;
-                    (self.slots[*slot][l], self.tags[*slot][l]) = (x, tag);
+                    let (ty, x) = self.eval_lane(expr, l)?;
+                    (self.slots[*slot][l], self.tags[*slot][l]) = (x, ty);
                 }
             }
             Op::Fold => {
@@ -2471,6 +2681,7 @@ impl JointExecutor {
                 fork_bufs: &mut bs.fork_bufs,
                 saved: &mut bs.saved,
                 arg_buf: &mut bs.arg_buf,
+                param_buf: &mut bs.param_buf,
                 score_buf: &mut bs.score_buf[..count],
                 sample_buf: &mut bs.sample_buf[..count],
                 eval_stack: &mut bs.eval_stack,
@@ -3045,9 +3256,9 @@ mod tests {
     fn callee_returns_constants_and_lane_values_of_any_carrier() {
         // The callee returns a constant on one arm and a lane value on the
         // others — a real slot or a natural-number slot — so the caller's
-        // arithmetic meets both tags in one dynamic slot: compiled real
-        // expressions take the real lanes and leave the rest to the
-        // evaluator.
+        // arithmetic meets both types in one dynamic slot.  `Pick`
+        // declares `real`: its lane program takes the real lanes, and a
+        // block with a lane holding a natural reruns scalar.
         let model = r#"
             proc Model() : real consume latent provide obs {
               let x <- call Pick();
@@ -3094,39 +3305,256 @@ mod tests {
         assert_eq!(verdicts, [OK; BLOCK_SIZES.len()]);
     }
 
+    /// The test slots: `u` real, `k` natural, `b` Boolean, `d` a value a
+    /// call passes in, declared real, and `e` an evaluator result.
+    fn lane_slots() -> ([Carrier; 5], Vec<(Ident, SymValue)>) {
+        let carriers = [
+            Carrier::Typed(Ty::Real),
+            Carrier::Typed(Ty::Nat),
+            Carrier::Typed(Ty::Bool),
+            Carrier::Dyn(Some(Ty::Real)),
+            Carrier::Dyn(None),
+        ];
+        let binds = ["u", "k", "b", "d", "e"]
+            .iter()
+            .enumerate()
+            .map(|(i, x)| (Ident::new(x), SymValue::Slot(i)))
+            .collect();
+        (carriers, binds)
+    }
+
+    fn lane_prog(src: &str, carriers: &[Carrier], binds: &[(Ident, SymValue)]) -> Option<LaneProg> {
+        let e = ppl_syntax::parse_expr(src).expect("parses");
+        match LaneExpr::compile(&e, binds.to_vec(), carriers) {
+            LaneExpr::Prog(p) => Some(p),
+            LaneExpr::Eval(_) => None,
+        }
+    }
+
     #[test]
     fn real_expressions_compile_only_what_they_reproduce() {
-        let (u, k, d) = (Ident::new("u"), Ident::new("k"), Ident::new("d"));
-        let carriers = [Carrier::Real, Carrier::Nat, Carrier::Dyn];
-        let binds = [
-            (u, SymValue::Slot(0)),
-            (k, SymValue::Slot(1)),
-            (d, SymValue::Slot(2)),
-        ];
-        let compiles = |src: &str| {
-            let e = ppl_syntax::parse_expr(src).expect("parses");
-            RealExpr::compile(&e, &binds, &carriers).map(|r| r.boolean)
-        };
-        assert_eq!(compiles("u < 0.5 + 0.5 * d"), Some(true));
-        assert_eq!(compiles("sqrt(-2.0 * ln(u) / d)"), Some(false));
-        // Naturals add as naturals, and Booleans are not reals.
-        assert_eq!(compiles("k + 1.0"), None);
-        assert_eq!(compiles("u < 1.0 && d < 1.0"), None);
-        assert_eq!(compiles("if u < 0.5 then u else d"), None);
-        // A dynamic slot holding a natural leaves the fast path.
-        let r = RealExpr::compile(
-            &ppl_syntax::parse_expr("d * 2.0").unwrap(),
-            &binds,
-            &carriers,
-        )
-        .expect("compiles");
-        let slots = vec![vec![0.25], vec![0.0], vec![f64::from_bits(3)]];
-        assert_eq!(r.eval(&slots, &[vec![0], vec![0], vec![TAG_NAT]], 0), None);
-        let slots = vec![vec![0.25], vec![0.0], vec![1.5]];
+        let (carriers, binds) = lane_slots();
+        let ty = |src: &str| lane_prog(src, &carriers, &binds).map(|p| p.ty);
+        // The first-order base-typed fragment compiles, with its type.
+        assert_eq!(ty("u < 0.5 + 0.5 * d"), Some(Ty::Bool));
+        assert_eq!(ty("sqrt(-2.0 * ln(u) / d)"), Some(Ty::Real));
+        assert_eq!(ty("u < 1.0 && d < 1.0"), Some(Ty::Bool));
+        assert_eq!(ty("if b then u else d"), Some(Ty::Real));
+        assert_eq!(ty("if b then u else 0.5"), Some(Ty::Real));
+        assert_eq!(ty("if b && !(k == 0) then k * k else k + 1"), Some(Ty::Nat));
+        assert_eq!(ty("k < 4 || b == false"), Some(Ty::Bool));
+        assert_eq!(ty("real(k) + u"), Some(Ty::Real));
+        // Mixed operands go through `as_f64`, as in the evaluator.
+        assert_eq!(ty("k + 1.0"), Some(Ty::Real));
+        assert_eq!(ty("if b then () else ()"), Some(Ty::Unit));
+        // Shapes the evaluator keeps: an expression-level `let`, a value
+        // of unknown type, arms of two types, operators that always error,
+        // and operand stacks past the depth limit.
+        assert_eq!(ty("let x = u in x * 2.0"), None);
+        assert_eq!(ty("e + 1.0"), None);
+        assert_eq!(ty("if b then u else k"), None);
+        assert_eq!(ty("k - 1"), None);
+        assert_eq!(ty("b && 1.0"), None);
         assert_eq!(
-            r.eval(&slots, &[vec![0], vec![0], vec![TAG_REAL]], 0),
-            Some(3.0)
+            ty("u + (u + (u + (u + (u + (u + (u + u))))))"),
+            Some(Ty::Real)
         );
+        assert_eq!(ty("u + (u + (u + (u + (u + (u + (u + (u + u)))))))"), None);
+        // A value a call passed in must have its declared type: a lane
+        // holding a natural leaves the program and its block reruns scalar.
+        let p = lane_prog("d * 2.0", &carriers, &binds).expect("compiles");
+        let slots = [0.25, 0.0, 1.0, f64::from_bits(3), 0.0].map(|x| vec![x]);
+        let tags = [Ty::Real, Ty::Nat, Ty::Bool, Ty::Nat, Ty::Unit].map(|t| vec![t]);
+        assert_eq!(p.eval(&slots, &tags, 0), None);
+        let slots = [0.25, 0.0, 1.0, 1.5, 0.0].map(|x| vec![x]);
+        let tags = [Ty::Real, Ty::Nat, Ty::Bool, Ty::Real, Ty::Unit].map(|t| vec![t]);
+        assert_eq!(p.eval(&slots, &tags, 0), Some(3.0));
+    }
+
+    #[test]
+    fn lane_programs_match_the_evaluator_bit_for_bit() {
+        // Every operator of the fragment over every pair of carriers, on
+        // random lanes drawn from boundary values: each compiled program
+        // must give the evaluator's value bit for bit, or error wherever
+        // it errors.
+        let names = ["r0", "r1", "n0", "n1", "b0", "b1", "dr", "dn", "db"];
+        let types = [
+            Ty::Real,
+            Ty::Real,
+            Ty::Nat,
+            Ty::Nat,
+            Ty::Bool,
+            Ty::Bool,
+            Ty::Real,
+            Ty::Nat,
+            Ty::Bool,
+        ];
+        let carriers: Vec<Carrier> = (types.iter().enumerate())
+            .map(|(i, &t)| {
+                if i < 6 {
+                    Carrier::Typed(t)
+                } else {
+                    Carrier::Dyn(Some(t))
+                }
+            })
+            .collect();
+        let binds: Vec<(Ident, SymValue)> = (names.iter().enumerate())
+            .map(|(i, x)| (Ident::new(x), SymValue::Slot(i)))
+            .collect();
+        let two53 = 1u64 << 53;
+        let reals = [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            0.0,
+            -0.0,
+            f64::from_bits(1),
+            -f64::from_bits(1),
+            f64::MIN_POSITIVE / 2.0,
+            1.0,
+            -1.0,
+            0.5,
+            two53 as f64,
+            f64::MAX,
+        ];
+        let nats = [
+            0,
+            1,
+            2,
+            3,
+            two53 - 1,
+            two53,
+            two53 + 1,
+            1 << 32,
+            u64::MAX - 1,
+            u64::MAX,
+        ];
+        let mut exprs = Vec::new();
+        for a in names {
+            for op in ["-", "exp", "ln", "sqrt", "real", "!"] {
+                exprs.push(format!("{op}({a})"));
+            }
+            for b in names {
+                for op in ["+", "-", "*", "/", "<", "<=", ">", ">=", "==", "&&", "||"] {
+                    exprs.push(format!("{a} {op} {b}"));
+                }
+            }
+        }
+        // Only the taken arm may error; `&&` and `||` evaluate both sides.
+        for c in ["b0", "db", "n0 < n1", "r0 == dr"] {
+            let arms = [
+                ("n0 + n1", "dn"),
+                ("r0 / r1", "dr"),
+                ("b1", "db || b0"),
+                ("r0", "r1"),
+                ("n1", "7"),
+            ];
+            for (a, b) in arms {
+                exprs.push(format!("if {c} then {a} else {b}"));
+                exprs.push(format!("if {c} then {b} else {a}"));
+            }
+            exprs.push(format!("{c} || n0 * n1 == dn"));
+            exprs.push(format!("!({c}) && real(n0 + dn) < r1"));
+        }
+        let mut rng = Pcg32::seed_from_u64(0xD1FF);
+        let mut pick = |n: usize| rng.next_below(n as u64) as usize;
+        let (mut compiled, mut errors) = (0, 0);
+        let mut stack = ValueStack::new();
+        for src in &exprs {
+            let e = ppl_syntax::parse_expr(src).expect("parses");
+            let prog = lane_prog(src, &carriers, &binds);
+            compiled += usize::from(prog.is_some());
+            for _ in 0..64 {
+                let mut slots = Vec::new();
+                stack.clear();
+                for (x, &ty) in names.iter().zip(&types) {
+                    let v = match ty {
+                        Ty::Real => Value::Real(reals[pick(reals.len())]),
+                        Ty::Nat => Value::Nat(nats[pick(nats.len())]),
+                        _ => Value::Bool(pick(2) == 1),
+                    };
+                    slots.push(vec![encode_value(&v).expect("scalar").1]);
+                    stack.push(Ident::new(x), v);
+                }
+                let tags: Vec<Vec<Ty>> = types.iter().map(|&t| vec![t]).collect();
+                let want = eval_expr_in(&mut stack, &e).ok();
+                let want = want.map(|v| encode_value(&v).expect("scalar"));
+                errors += usize::from(want.is_none());
+                let bits = |r: Option<(Ty, f64)>| r.map(|(t, x)| (t, x.to_bits()));
+                // A shape left uncompiled is one the evaluator rejects.
+                let got = prog
+                    .as_ref()
+                    .and_then(|p| Some((p.ty, p.eval(&slots, &tags, 0)?)));
+                assert_eq!(bits(got), bits(want), "{src} on {stack:?}");
+            }
+        }
+        // The well-typed shapes, and the mixed-carrier arithmetic and
+        // comparisons the evaluator also accepts, all compile.
+        assert_eq!(compiled, 414, "of {}", exprs.len());
+        assert!(errors > 0);
+    }
+
+    #[test]
+    fn natural_overflow_on_one_lane_reports_the_scalar_error() {
+        // The sum overflows on the lanes that draw k >= 6 (about one in
+        // twelve): the block reruns scalar and reports the first such
+        // lane's error, at every block size.
+        let model = r#"
+            proc Model() : real consume latent provide obs {
+              let k <- sample recv latent (Pois(3.0));
+              let n <- return 18446744073709551610 + k;
+              let _ <- sample send obs (Normal(real(k), 1.0));
+              return real(n)
+            }
+        "#;
+        let guide = r#"
+            proc Guide() provide latent {
+              let k <- sample send latent (Pois(3.0));
+              return ()
+            }
+        "#;
+        let exec = executor(model, guide, vec![Sample::Real(3.0)]);
+        let spec = JointSpec::new("Model", "Guide");
+        let master = Pcg32::seed_from_u64(0x0F);
+        let first_error = (0..64u64)
+            .map(|i| exec.run(&spec, LatentSource::FromGuide, &mut master.split(i)))
+            .position(|r| r.is_err())
+            .expect("some lane overflows");
+        assert!(first_error > 0, "lanes before it vectorise");
+        let err = exec.run(
+            &spec,
+            LatentSource::FromGuide,
+            &mut master.split(first_error as u64),
+        );
+        assert!(format!("{}", err.unwrap_err()).contains("overflow"));
+        let verdicts = assert_block_matches_scalar(&exec, &spec, 64, 0x0F);
+        assert_eq!(verdicts, [OK; BLOCK_SIZES.len()]);
+    }
+
+    #[test]
+    fn shapes_lane_programs_cannot_express_reach_the_evaluator_counted() {
+        // An expression-level `let` keeps the evaluator, one lane per site.
+        let model = r#"
+            proc Model() : real consume latent provide obs {
+              let x <- sample recv latent (Normal(0.0, 1.0));
+              let _ <- sample send obs (Normal(let z = x * 2.0 in z + 1.0, 1.0));
+              return x
+            }
+        "#;
+        let guide = r#"
+            proc Guide() provide latent {
+              let x <- sample send latent (Normal(0.5, 1.5));
+              return ()
+            }
+        "#;
+        let exec = executor(model, guide, vec![Sample::Real(1.0)]);
+        let spec = JointSpec::new("Model", "Guide");
+        let verdicts = assert_block_matches_scalar(&exec, &spec, 100, 0xE7A1);
+        assert_eq!(verdicts, [OK; BLOCK_SIZES.len()]);
+        let (verdicts, mut scratch) = verdicts_per_block(&exec, &spec, 0xE7A1, 16, 4);
+        assert_eq!(verdicts, [OK; 4]);
+        let counts = scratch.take_counts();
+        assert_eq!((counts.evaluator_lanes, counts.scalar_lanes), (64, 0));
     }
 
     #[test]

@@ -20,7 +20,7 @@
 use ppl_dist::Distribution;
 use ppl_semantics::eval::eval_dist;
 use ppl_semantics::value::Env;
-use ppl_syntax::ast::{ChannelName, Cmd, Dir, DistExpr, Expr, Ident, Proc, Program};
+use ppl_syntax::ast::{BaseType, ChannelName, Cmd, Dir, DistExpr, Expr, Ident, Proc, Program};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -37,6 +37,10 @@ pub struct CompiledProc {
     pub name: Ident,
     /// Parameter names in declaration order.
     pub params: Vec<Ident>,
+    /// The parameters' declared types, in the same order.
+    pub param_types: Vec<BaseType>,
+    /// The declared result type.
+    pub ret_ty: BaseType,
     /// The channel the procedure consumes, if any.
     pub consumes: Option<ChannelName>,
     /// The channel the procedure provides, if any.
@@ -188,6 +192,8 @@ impl CompiledProgram {
             compiled.procs.push(CompiledProc {
                 name: p.name,
                 params: p.params.iter().map(|(x, _)| *x).collect(),
+                param_types: p.params.iter().map(|(_, t)| t.clone()).collect(),
+                ret_ty: p.ret_ty.clone(),
                 consumes: p.consumes,
                 provides: p.provides,
                 body,

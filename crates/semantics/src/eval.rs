@@ -199,13 +199,21 @@ fn eval_binop(op: BinOp, a: &Value, b: &Value) -> Result<Value, EvalError> {
         }
         Add | Sub | Mul | Div => {
             if let (Value::Nat(x), Value::Nat(y)) = (a, b) {
-                return match op {
-                    Add => Ok(Value::Nat(x + y)),
-                    Mul => Ok(Value::Nat(x * y)),
-                    _ => Err(EvalError::Dynamic(
-                        "subtraction/division on naturals".into(),
-                    )),
+                let r = match op {
+                    Add => x.checked_add(*y),
+                    Mul => x.checked_mul(*y),
+                    _ => {
+                        return Err(EvalError::Dynamic(
+                            "subtraction/division on naturals".into(),
+                        ))
+                    }
                 };
+                return r.map(Value::Nat).ok_or_else(|| {
+                    EvalError::Dynamic(format!(
+                        "natural-number overflow in {x} {} {y}",
+                        op.symbol()
+                    ))
+                });
             }
             let (x, y) = match (a.as_f64(), b.as_f64()) {
                 (Some(x), Some(y)) => (x, y),
@@ -838,6 +846,22 @@ mod tests {
             let e = ppl_syntax::parse_expr(src).unwrap();
             assert!(eval_expr(&env, &e).is_err(), "{src}");
         }
+    }
+
+    #[test]
+    fn natural_overflow_is_a_dynamic_error_in_every_profile() {
+        // Unchecked, the sum panicked in debug builds and wrapped to 0 in
+        // release ones; the type checker accepts it (nat + nat : nat).
+        let env = Env::new();
+        for src in ["18446744073709551615 + 1", "4294967296 * 4294967296"] {
+            let e = ppl_syntax::parse_expr(src).unwrap();
+            assert!(
+                matches!(eval_expr(&env, &e), Err(EvalError::Dynamic(_))),
+                "{src}"
+            );
+        }
+        let e = ppl_syntax::parse_expr("18446744073709551614 + 1").unwrap();
+        assert_eq!(eval_expr(&env, &e).unwrap(), Value::Nat(u64::MAX));
     }
 
     #[test]

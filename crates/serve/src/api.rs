@@ -903,6 +903,7 @@ fn engine_json(diag: &ppl_inference::Diagnostics) -> Json {
         ("lane_reconverges".into(), count(diag.lane_reconverges)),
         ("cancel_checks".into(), count(diag.cancel_checks)),
         ("scalar_lanes".into(), count(diag.scalar_lanes)),
+        ("evaluator_lanes".into(), count(diag.evaluator_lanes)),
     ])
 }
 
@@ -930,6 +931,7 @@ fn engine_pairs(diag: &ppl_inference::Diagnostics) -> Vec<(String, f64)> {
         ("lane_reconverges".to_string(), diag.lane_reconverges as f64),
         ("cancel_checks".to_string(), diag.cancel_checks as f64),
         ("scalar_lanes".to_string(), diag.scalar_lanes as f64),
+        ("evaluator_lanes".to_string(), diag.evaluator_lanes as f64),
     ]);
     pairs
 }

@@ -20,7 +20,7 @@
 //!
 //! Because a scalar fallback is invisible in results, one test pins which
 //! path every registry model actually takes: the block executor's plan
-//! verdict.  The last re-scores the recursive models' block runs with the
+//! verdict, and that no lane reaches the evaluator or the scalar path.  The last re-scores the recursive models' block runs with the
 //! paper's reference semantics, the big-step `Evaluator`.
 
 use guide_ppl::runtime::{JointExecutor, JointScratch, JointSpec};
@@ -321,6 +321,10 @@ fn registry_plan_verdicts_are_pinned() {
         // Plans grow with the program's paths, not with recursion depth.
         let planned = scratch.planned_arms().expect("vectorised");
         assert!(planned <= 16, "{}: {planned} planned arms", b.name);
+        // Every per-lane expression runs as a compiled lane program.
+        let counts = scratch.take_counts();
+        assert_eq!(counts.evaluator_lanes, 0, "{}: evaluator lanes", b.name);
+        assert_eq!(counts.scalar_lanes, 0, "{}: scalar lanes", b.name);
     }
 }
 
