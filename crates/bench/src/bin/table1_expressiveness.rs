@@ -1,6 +1,7 @@
 //! Regenerates **Table 1** of the paper: per benchmark, whether it
 //! type-checks in the coroutine-based PPL (`T?`), the model's lines of code
-//! (`LOC`), and whether the trace-types baseline can express it (`TP?`).
+//! (`LOC`), and whether the trace-types baseline can express it (`TP?`),
+//! with the time guide-type inference takes (median [p10, p90]).
 //!
 //! Run with `cargo run -p ppl-bench --bin table1_expressiveness --release`.
 
@@ -10,7 +11,7 @@ fn main() {
     let rows = table1_rows();
     println!("Table 1: selected benchmark descriptions and expressiveness");
     println!(
-        "{:<11} {:<38} {:>3} {:>5} {:>4}  type-inference time",
+        "{:<11} {:<38} {:>3} {:>5} {:>4}  type-inference time (ms)",
         "Program", "Description", "T?", "LOC", "TP?"
     );
     println!("{}", "-".repeat(90));
@@ -23,7 +24,10 @@ fn main() {
         };
         let time = row
             .inference_time
-            .map(|t| format!("{:.2} ms", t.as_secs_f64() * 1e3))
+            .map(|t| {
+                let ms = |s: f64| s * 1e3;
+                format!("{:.3} [{:.3}, {:.3}]", ms(t.median), ms(t.p10), ms(t.p90))
+            })
             .unwrap_or_else(|| "-".to_string());
         println!(
             "{:<11} {:<38} {:>3} {:>5} {:>4}  {}",

@@ -2,7 +2,8 @@
 //! inference algorithm, type-inference + code-generation time (CG),
 //! generated lines of code (GLOC), inference time on the compiled/coroutine
 //! path (GI), handwritten lines of code (HLOC), and inference time on the
-//! handwritten path (HI).
+//! handwritten path (HI), each the median of interleaved trials, and GI/HI
+//! as the median [p10, p90] of per-trial ratios.
 //!
 //! Run with `cargo run -p ppl-bench --bin table2_performance --release`.
 
@@ -15,27 +16,26 @@ fn main() {
         config.is_particles, config.vi_iterations, config.vi_samples_per_iteration
     );
     println!(
-        "{:<11} {:>3} {:>9} {:>6} {:>9} {:>6} {:>9} {:>9}",
-        "Program", "BI", "CG (ms)", "GLOC", "GI (s)", "HLOC", "HI (s)", "GI/HI"
+        "{:<11} {:>3} {:>3} {:>9} {:>6} {:>9} {:>6} {:>9} {:>20}",
+        "Program", "BI", "n", "CG (ms)", "GLOC", "GI (ms)", "HLOC", "HI (ms)", "GI/HI"
     );
-    println!("{}", "-".repeat(72));
+    println!("{}", "-".repeat(84));
     let rows = table2_rows(&config);
     for r in &rows {
-        let gi = r.coroutine_inference_time.as_secs_f64();
-        let hi = r.handwritten_inference_time.as_secs_f64();
         println!(
-            "{:<11} {:>3} {:>9.2} {:>6} {:>9.2} {:>6} {:>9.2} {:>9.2}",
+            "{:<11} {:>3} {:>3} {:>9.3} {:>6} {:>9.2} {:>6} {:>9.2} {:>20.2}",
             r.name,
             r.algorithm,
-            r.codegen_time.as_secs_f64() * 1e3,
+            r.gi_over_hi.n,
+            r.codegen_time.median * 1e3,
             r.generated_loc,
-            gi,
+            r.coroutine_inference_time.median * 1e3,
             r.handwritten_loc,
-            hi,
-            gi / hi
+            r.handwritten_inference_time.median * 1e3,
+            r.gi_over_hi,
         );
     }
-    println!("{}", "-".repeat(72));
+    println!("{}", "-".repeat(84));
     println!("estimate agreement (coroutine vs handwritten):");
     for r in &rows {
         println!(

@@ -1,42 +1,41 @@
-//! Particle-throughput measurement for the zero-copy execution core.
+//! The rows `ppl-bench` reports, and the report they make up.
 //!
-//! The Table 2 harness measures end-to-end inference latency; this module
-//! measures the quantity the execution-core refactor optimises directly:
-//! **particles per second** through the joint coroutine executor, single
-//! threaded versus the parallel particle driver.  Because the driver gives
-//! particle `i` the RNG substream `master.split(i)`, both configurations
-//! produce bit-identical results — which every row re-verifies — so the
-//! speedup column is a pure scheduling win, not a different computation.
+//! Every row times its configurations through [`measure`], so each timed
+//! figure is a [`Stat`] — median, p10, p90 and the trial count — and each
+//! ratio between configurations is the median of per-trial ratios.  A row
+//! that compares configurations also re-verifies what the comparison rests
+//! on:
 //!
-//! [`serving_rows`] measures the batched-serving primitive on top of the
-//! same guarantee: one compiled model answers a grid of observation sets
-//! through [`Session::run_batch_threaded`], 1 vs N batch threads, with the
-//! per-query posteriors re-verified bit-identical.  [`http_rows`] goes one
-//! layer further out: a real loopback `ppl-serve` instance, measuring
-//! requests/sec cold (inference per request) versus warm (exact cache
-//! hits) with the byte-identity of every warm response re-verified.
-//! [`admission_rows`] measures the model-ingestion pipeline: full
-//! parse → type-check → compile admissions per second in-process, plus the
-//! `POST /v1/models` submit→first-query latency over loopback HTTP.
-//! [`amortization_rows`] measures the PR 8 artifact store: one cold VI
-//! query (fit + draw) versus artifact-warm queries that reuse a persisted
-//! fit — byte-identity and the zero-fit-executions invariant re-verified
-//! per request, with the response cache disabled so the speedup is pure
-//! fit amortization.
+//! * [`throughput_rows`] — particles/sec through the joint coroutine
+//!   executor, 1 vs N threads.  Particle `i` always draws from the RNG
+//!   substream `master.split(i)`, so both configurations produce
+//!   bit-identical results and the speedup is pure scheduling.  The `ex-1`
+//!   row is also the workload behind Fig. 2.
+//! * [`block_rows`] — single-thread particles/sec at block sizes 1, 64 and
+//!   256, every block size bit-identical to the scalar run.
+//! * [`mcmc_rows`] — independence-MH proposals/sec and steady-state
+//!   allocations per proposal.
+//! * [`serving_rows`] — one compiled model answering a grid of observation
+//!   sets through [`Session::run_batch_threaded`], 1 vs N batch threads,
+//!   bit-identical per query.
+//! * [`amortization_rows`] — a cold VI query (fit + draw) against
+//!   artifact-warm queries that reuse a persisted fit, byte-identical and
+//!   running zero fit executions.
+//! * [`overload_rows`] — a connection storm against a one-slot admission
+//!   queue: every shed is a retryable 429 and post-storm bytes match.
+//! * [`observability_rows`] — the flight recorder's cost, recorder off vs
+//!   on.
 //!
-//! [`bench_json`] serialises the rows (plus per-engine wall times) into the
-//! machine-readable `BENCH_inference.json` consumed by CI, so the perf
-//! trajectory of the runtime is tracked from commit to commit.
+//! [`Report`] runs them all and serialises them as one [`Json`] value, the
+//! `BENCH_inference.json` document CI reads.
 
 use crate::alloc_track;
+use crate::measure::{measure, Stat};
 use guide_ppl::{Method, Posterior, Query, Session};
 use ppl_dist::rng::Pcg32;
 use ppl_dist::Sample;
-use ppl_inference::{
-    ImportanceSampler, IndependenceMh, ParamSpec, VariationalInference, ViConfig, DEFAULT_BLOCK,
-};
-use std::fmt::Write as _;
-use std::time::Instant;
+use ppl_inference::{ImportanceSampler, IndependenceMh, DEFAULT_BLOCK};
+use ppl_store::json::Json;
 
 /// Workload configuration for the throughput scenario.
 #[derive(Debug, Clone, Copy)]
@@ -75,16 +74,12 @@ pub struct ThroughputRow {
     pub threads: usize,
     /// Vectorised-execution block size both configurations ran with.
     pub block: usize,
-    /// Wall time of the single-threaded run, in seconds.
-    pub seq_seconds: f64,
-    /// Wall time of the parallel run, in seconds.
-    pub par_seconds: f64,
     /// Particles per second, single-threaded.
-    pub seq_particles_per_sec: f64,
+    pub seq_particles_per_sec: Stat,
     /// Particles per second, parallel.
-    pub par_particles_per_sec: f64,
-    /// `par_particles_per_sec / seq_particles_per_sec`.
-    pub speedup: f64,
+    pub par_particles_per_sec: Stat,
+    /// Single-threaded over parallel wall time, trial by trial.
+    pub speedup: Stat,
     /// Effective sample size of the (identical) runs.
     pub ess: f64,
     /// Log-evidence estimate of the (identical) runs.
@@ -100,27 +95,18 @@ pub struct ThroughputRow {
     pub allocs_per_particle: f64,
 }
 
-/// Wall time of one engine on its reference workload.
-#[derive(Debug, Clone)]
-pub struct EngineTiming {
-    /// Engine abbreviation (`IS` / `VI` / `MCMC`).
-    pub engine: &'static str,
-    /// Benchmark the workload runs on.
-    pub benchmark: &'static str,
-    /// Wall time in seconds.
-    pub wall_seconds: f64,
-    /// Name of the quality metric recorded alongside the time.
-    pub metric: &'static str,
-    /// The metric's value.
-    pub value: f64,
+/// The Table 2 benchmarks that run importance sampling.
+fn is_benchmarks() -> impl Iterator<Item = &'static str> {
+    ppl_models::table2_benchmarks()
+        .into_iter()
+        .filter(|(_, kind)| *kind == ppl_models::InferenceKind::ImportanceSampling)
+        .map(|(name, _)| name)
 }
 
 /// Measures particles/sec (1 vs N threads) on the Table 2 IS benchmarks.
 pub fn throughput_rows(config: &ThroughputConfig) -> Vec<ThroughputRow> {
-    ppl_models::table2_benchmarks()
-        .into_iter()
-        .filter(|(_, kind)| *kind == ppl_models::InferenceKind::ImportanceSampling)
-        .map(|(name, _)| throughput_row(name, config))
+    is_benchmarks()
+        .map(|name| throughput_row(name, config))
         .collect()
 }
 
@@ -129,36 +115,36 @@ fn throughput_row(name: &'static str, config: &ThroughputConfig) -> ThroughputRo
     let b = ppl_models::benchmark(name).expect("registered benchmark");
     let executor = session.executor(b.observations.clone());
     let spec = session.spec();
+    let run = |threads: usize| {
+        let mut rng = Pcg32::seed_from_u64(config.seed);
+        ImportanceSampler::new(config.particles)
+            .with_threads(threads)
+            .with_block(config.block)
+            .run(&executor, &spec, &mut rng)
+            .expect("importance sampling")
+    };
 
-    let mut rng = Pcg32::seed_from_u64(config.seed);
-    let allocs_before = alloc_track::thread_allocations();
-    let seq_start = Instant::now();
-    let seq = ImportanceSampler::new(config.particles)
-        .with_block(config.block)
-        .run(&executor, &spec, &mut rng)
-        .expect("sequential IS");
-    let seq_seconds = seq_start.elapsed().as_secs_f64();
-    let seq_allocs = alloc_track::thread_allocations() - allocs_before;
-
-    let mut rng = Pcg32::seed_from_u64(config.seed);
-    let par_start = Instant::now();
-    let par = ImportanceSampler::new(config.particles)
-        .with_threads(config.threads)
-        .with_block(config.block)
-        .run(&executor, &spec, &mut rng)
-        .expect("parallel IS");
-    let par_seconds = par_start.elapsed().as_secs_f64();
+    let (mut seq, mut par, mut seq_allocs) = (None, None, 0);
+    let trials = measure(2, |i| {
+        if i == 0 {
+            let before = alloc_track::thread_allocations();
+            seq = Some(run(1));
+            seq_allocs = alloc_track::thread_allocations() - before;
+        } else {
+            par = Some(run(config.threads));
+        }
+    });
+    let (seq, par) = (seq.expect("measured"), par.expect("measured"));
+    let particles = config.particles as f64;
 
     ThroughputRow {
         name,
         particles: config.particles,
         threads: config.threads,
         block: config.block,
-        seq_seconds,
-        par_seconds,
-        seq_particles_per_sec: config.particles as f64 / seq_seconds,
-        par_particles_per_sec: config.particles as f64 / par_seconds,
-        speedup: seq_seconds / par_seconds,
+        seq_particles_per_sec: trials.stat(|s| particles / s[0]),
+        par_particles_per_sec: trials.stat(|s| particles / s[1]),
+        speedup: trials.stat(|s| s[0] / s[1]),
         ess: seq.ess,
         log_evidence: seq.log_evidence,
         bit_identical: posterior_fingerprint(&seq) == posterior_fingerprint(&par),
@@ -181,12 +167,10 @@ pub struct BlockRow {
     pub block: usize,
     /// Particles drawn.
     pub particles: usize,
-    /// Wall time of the single-threaded run, in seconds.
-    pub wall_seconds: f64,
     /// Particles per second, single-threaded.
-    pub particles_per_sec: f64,
-    /// `particles_per_sec` relative to this benchmark's scalar row.
-    pub speedup_vs_scalar: f64,
+    pub particles_per_sec: Stat,
+    /// Scalar over block wall time, trial by trial.
+    pub speedup_vs_scalar: Stat,
     /// Whether this block size reproduced the scalar run bit-for-bit
     /// (always expected `true`; recorded so CI can assert it).
     pub bit_identical: bool,
@@ -196,42 +180,38 @@ pub struct BlockRow {
 pub const BLOCK_SCAN: [usize; 3] = [1, 64, 256];
 
 /// Measures single-thread particles/sec at each [`BLOCK_SCAN`] size on the
-/// Table 2 IS benchmarks, re-verifying that every block size reproduces
-/// the scalar run bit-for-bit.
+/// Table 2 IS benchmarks, the sizes interleaved within each trial,
+/// re-verifying that every block size reproduces the scalar run
+/// bit-for-bit.
 pub fn block_rows(config: &ThroughputConfig) -> Vec<BlockRow> {
     let mut out = Vec::new();
-    for (name, _) in ppl_models::table2_benchmarks()
-        .into_iter()
-        .filter(|(_, kind)| *kind == ppl_models::InferenceKind::ImportanceSampling)
-    {
+    for name in is_benchmarks() {
         let session = Session::from_benchmark(name).expect("registered benchmark");
         let b = ppl_models::benchmark(name).expect("registered benchmark");
         let executor = session.executor(b.observations.clone());
         let spec = session.spec();
-        let mut scalar: Option<u64> = None;
-        let mut scalar_seconds = f64::NAN;
-        for block in BLOCK_SCAN {
+        let mut results: Vec<_> = BLOCK_SCAN.iter().map(|_| None).collect();
+        let trials = measure(BLOCK_SCAN.len(), |i| {
             let mut rng = Pcg32::seed_from_u64(config.seed);
-            let start = Instant::now();
             let result = ImportanceSampler::new(config.particles)
-                .with_block(block)
+                .with_block(BLOCK_SCAN[i])
                 .run(&executor, &spec, &mut rng)
                 .expect("single-thread IS");
-            let wall_seconds = start.elapsed().as_secs_f64();
-            let fingerprint = posterior_fingerprint(&result);
-            let bit_identical = scalar.map_or(true, |reference| reference == fingerprint);
-            if scalar.is_none() {
-                scalar_seconds = wall_seconds;
-                scalar = Some(fingerprint);
-            }
+            results[i] = Some(result);
+        });
+        let fingerprints: Vec<u64> = results
+            .iter()
+            .map(|r| posterior_fingerprint(r.as_ref().expect("measured")))
+            .collect();
+        let particles = config.particles as f64;
+        for (i, block) in BLOCK_SCAN.into_iter().enumerate() {
             out.push(BlockRow {
                 name,
                 block,
                 particles: config.particles,
-                wall_seconds,
-                particles_per_sec: config.particles as f64 / wall_seconds,
-                speedup_vs_scalar: scalar_seconds / wall_seconds,
-                bit_identical,
+                particles_per_sec: trials.stat(|s| particles / s[i]),
+                speedup_vs_scalar: trials.stat(|s| s[0] / s[i]),
+                bit_identical: fingerprints[i] == fingerprints[0],
             });
         }
     }
@@ -244,12 +224,10 @@ pub fn block_rows(config: &ThroughputConfig) -> Vec<BlockRow> {
 pub struct McmcRow {
     /// Benchmark name.
     pub name: &'static str,
-    /// Proposal iterations measured.
+    /// Proposal iterations per chain.
     pub iterations: usize,
-    /// Wall time of the chain, in seconds.
-    pub wall_seconds: f64,
     /// Proposals evaluated per second.
-    pub proposals_per_sec: f64,
+    pub proposals_per_sec: Stat,
     /// Fraction of proposals accepted.
     pub acceptance_rate: f64,
     /// Heap allocations per proposal in the steady state (burn-in-only
@@ -274,12 +252,14 @@ fn mcmc_row(name: &'static str, config: &ThroughputConfig) -> McmcRow {
     let spec = session.spec();
     let iterations = (config.particles / 2).max(100);
 
-    let mut rng = Pcg32::seed_from_u64(config.seed);
-    let start = Instant::now();
-    let result = IndependenceMh::new(iterations, iterations / 10)
-        .run(&executor, &spec, &mut rng)
-        .expect("MCMC chain");
-    let wall_seconds = start.elapsed().as_secs_f64();
+    let mut acceptance_rate = f64::NAN;
+    let trials = measure(1, |_| {
+        let mut rng = Pcg32::seed_from_u64(config.seed);
+        acceptance_rate = IndependenceMh::new(iterations, iterations / 10)
+            .run(&executor, &spec, &mut rng)
+            .expect("MCMC chain")
+            .acceptance_rate;
+    });
 
     // Steady-state allocation count: a burn-in-only chain retains no
     // states, so what remains is the pure proposal loop.  The chain owns
@@ -287,7 +267,7 @@ fn mcmc_row(name: &'static str, config: &ThroughputConfig) -> McmcRow {
     // identical prefix); differencing a short and a long run cancels it
     // and leaves the pure per-proposal increment.
     let allocs_per_proposal = if alloc_track::installed() {
-        let measure = |iters: usize| -> u64 {
+        let count = |iters: usize| -> u64 {
             let mut rng = Pcg32::seed_from_u64(config.seed);
             let before = alloc_track::thread_allocations();
             IndependenceMh::new(iters, iters)
@@ -295,8 +275,8 @@ fn mcmc_row(name: &'static str, config: &ThroughputConfig) -> McmcRow {
                 .expect("MCMC chain");
             alloc_track::thread_allocations() - before
         };
-        let short = measure(200);
-        let long = measure(1_200);
+        let short = count(200);
+        let long = count(1_200);
         long.saturating_sub(short) as f64 / 1_000.0
     } else {
         f64::NAN
@@ -305,9 +285,8 @@ fn mcmc_row(name: &'static str, config: &ThroughputConfig) -> McmcRow {
     McmcRow {
         name,
         iterations,
-        wall_seconds,
-        proposals_per_sec: iterations as f64 / wall_seconds,
-        acceptance_rate: result.acceptance_rate,
+        proposals_per_sec: trials.stat(|s| iterations as f64 / s[0]),
+        acceptance_rate,
         allocs_per_proposal,
     }
 }
@@ -324,16 +303,12 @@ pub struct ServingRow {
     pub particles_per_query: usize,
     /// Batch worker threads for the parallel configuration.
     pub batch_threads: usize,
-    /// Wall time of the single-threaded batch, in seconds.
-    pub seq_seconds: f64,
-    /// Wall time of the parallel batch, in seconds.
-    pub par_seconds: f64,
     /// Queries answered per second, single-threaded.
-    pub seq_queries_per_sec: f64,
+    pub seq_queries_per_sec: Stat,
     /// Queries answered per second, parallel.
-    pub par_queries_per_sec: f64,
-    /// `seq_seconds / par_seconds`.
-    pub speedup: f64,
+    pub par_queries_per_sec: Stat,
+    /// Single-threaded over parallel wall time, trial by trial.
+    pub speedup: Stat,
     /// Whether both configurations produced bit-identical posteriors.
     pub bit_identical: bool,
 }
@@ -388,121 +363,30 @@ pub fn serving_rows(config: &ThroughputConfig) -> Vec<ServingRow> {
         particles: particles_per_query,
     };
 
-    let seq_start = Instant::now();
-    let seq = session
-        .run_batch_threaded(&queries, &method, 1)
-        .expect("sequential batch");
-    let seq_seconds = seq_start.elapsed().as_secs_f64();
-
-    let par_start = Instant::now();
-    let par = session
-        .run_batch_threaded(&queries, &method, config.threads)
-        .expect("parallel batch");
-    let par_seconds = par_start.elapsed().as_secs_f64();
-
+    let mut results = [None, None];
+    let batch_threads = [1, config.threads];
+    let trials = measure(2, |i| {
+        let batch = session
+            .run_batch_threaded(&queries, &method, batch_threads[i])
+            .expect("batch");
+        results[i] = Some(batch);
+    });
+    let [seq, par] = results.map(|r| r.expect("measured"));
     let bit_identical = seq
         .iter()
         .zip(&par)
         .all(|(a, b)| posterior_fingerprint(a) == posterior_fingerprint(b));
 
+    let queries = num_queries as f64;
     vec![ServingRow {
         name,
         queries: num_queries,
         particles_per_query,
         batch_threads: config.threads,
-        seq_seconds,
-        par_seconds,
-        seq_queries_per_sec: num_queries as f64 / seq_seconds,
-        par_queries_per_sec: num_queries as f64 / par_seconds,
-        speedup: seq_seconds / par_seconds,
+        seq_queries_per_sec: trials.stat(|s| queries / s[0]),
+        par_queries_per_sec: trials.stat(|s| queries / s[1]),
+        speedup: trials.stat(|s| s[0] / s[1]),
         bit_identical,
-    }]
-}
-
-/// One HTTP serving measurement: requests per second through a real
-/// loopback `ppl-serve` instance, cold (every request runs inference)
-/// versus warm (every request is an exact cache hit).
-#[derive(Debug, Clone)]
-pub struct HttpRow {
-    /// Benchmark name served.
-    pub name: &'static str,
-    /// Requests per pass.
-    pub requests: usize,
-    /// Importance-sampling particles per request.
-    pub particles_per_request: usize,
-    /// Wall time of the cold pass, in seconds.
-    pub cold_seconds: f64,
-    /// Wall time of the warm (cache-hit) pass, in seconds.
-    pub warm_seconds: f64,
-    /// Requests per second, cold.
-    pub cold_requests_per_sec: f64,
-    /// Requests per second, warm.
-    pub warm_requests_per_sec: f64,
-    /// Cache hit rate over both passes (expected 0.5: all misses, then
-    /// all hits).
-    pub cache_hit_rate: f64,
-    /// Every response was a 200 and each warm body was byte-identical to
-    /// its cold counterpart.
-    pub ok: bool,
-}
-
-/// Measures HTTP serving over loopback: boots an in-process `ppl-serve`
-/// on an ephemeral port, fires one pass of distinct-seed queries (cold:
-/// every request runs inference) and then the identical pass again (warm:
-/// every request is an exact cache hit), over one keep-alive connection.
-pub fn http_rows(config: &ThroughputConfig) -> Vec<HttpRow> {
-    use ppl_serve::http::ClientConn;
-    use ppl_serve::{App, Registry, Server};
-
-    let name = "ex-1";
-    let requests = 32usize;
-    let particles_per_request = (config.particles / requests).max(100);
-    let app = App::new(Registry::from_benchmarks(), requests * 2);
-    let server = Server::bind("127.0.0.1:0", config.threads.clamp(1, 4), app.handler())
-        .expect("bind an ephemeral loopback port");
-    let mut conn = ClientConn::connect(server.local_addr()).expect("loopback connect");
-
-    let bodies: Vec<String> = (0..requests)
-        .map(|i| {
-            format!(
-                r#"{{"model":"{name}","observations":[0.8],"method":{{"algorithm":"importance","particles":{particles_per_request}}},"seed":{}}}"#,
-                config.seed ^ i as u64
-            )
-        })
-        .collect();
-
-    let mut run_pass = |expected: Option<&[Vec<u8>]>| -> (f64, Vec<Vec<u8>>, bool) {
-        let start = Instant::now();
-        let mut responses = Vec::with_capacity(requests);
-        let mut ok = true;
-        for (i, body) in bodies.iter().enumerate() {
-            let (status, _, response) = conn
-                .send("POST", "/v1/query", Some(body))
-                .expect("loopback request");
-            ok &= status == 200;
-            if let Some(expected) = expected {
-                ok &= response == expected[i];
-            }
-            responses.push(response);
-        }
-        (start.elapsed().as_secs_f64(), responses, ok)
-    };
-
-    let (cold_seconds, cold_bodies, cold_ok) = run_pass(None);
-    let (warm_seconds, _, warm_ok) = run_pass(Some(&cold_bodies));
-    let cache_hit_rate = app.cache.hit_rate();
-    server.shutdown();
-
-    vec![HttpRow {
-        name,
-        requests,
-        particles_per_request,
-        cold_seconds,
-        warm_seconds,
-        cold_requests_per_sec: requests as f64 / cold_seconds,
-        warm_requests_per_sec: requests as f64 / warm_seconds,
-        cache_hit_rate,
-        ok: cold_ok && warm_ok,
     }]
 }
 
@@ -517,17 +401,14 @@ pub struct ObservabilityRow {
     pub requests: usize,
     /// Importance-sampling particles per request.
     pub particles_per_request: usize,
-    /// Best-of wall time with the recorder disabled, in seconds.
-    pub off_seconds: f64,
-    /// Best-of wall time with the recorder enabled, in seconds.
-    pub on_seconds: f64,
     /// Requests per second, recorder disabled.
-    pub off_requests_per_sec: f64,
+    pub off_requests_per_sec: Stat,
     /// Requests per second, recorder enabled.
-    pub on_requests_per_sec: f64,
-    /// Relative cost of tracing: `(on - off) / off × 100`.  Can be
-    /// negative under noise; CI gates it below a few percent.
-    pub tracing_on_overhead_pct: f64,
+    pub on_requests_per_sec: Stat,
+    /// Relative cost of tracing, `(on / off - 1) × 100` over the wall
+    /// times of each trial's pair of passes.  Can be negative under
+    /// noise; CI gates its median below a few percent.
+    pub tracing_on_overhead_pct: Stat,
     /// Every response was a 200, traced passes produced ring entries,
     /// and untraced responses carried no trace id.
     pub ok: bool,
@@ -535,9 +416,8 @@ pub struct ObservabilityRow {
 
 /// Measures the flight recorder's overhead: identical request streams
 /// through the in-process handler (no sockets, cache disabled so every
-/// request runs inference), interleaving recorder-off and recorder-on
-/// passes and keeping the best of each so scheduler noise hits both
-/// modes alike.
+/// request runs inference), one recorder-off and one recorder-on pass per
+/// trial.
 pub fn observability_rows(config: &ThroughputConfig) -> Vec<ObservabilityRow> {
     use ppl_serve::http::Request;
     use ppl_serve::{App, Registry};
@@ -567,141 +447,26 @@ pub fn observability_rows(config: &ThroughputConfig) -> Vec<ObservabilityRow> {
     };
 
     let mut ok = true;
-    let mut run_pass = |enabled: bool| -> f64 {
+    let trials = measure(2, |i| {
+        let enabled = i == 1;
         app.obs.set_enabled(enabled);
-        let start = Instant::now();
         for body in &bodies {
             let response = handler(&request(body));
             ok &= response.status == 200;
             ok &= response.headers.iter().any(|(k, _)| k == "X-Ppl-Trace-Id") == enabled;
         }
-        start.elapsed().as_secs_f64()
-    };
-
-    run_pass(false); // warm-up: fault in lazy runtime state for both modes
-    let (mut off_seconds, mut on_seconds) = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..5 {
-        off_seconds = off_seconds.min(run_pass(false));
-        on_seconds = on_seconds.min(run_pass(true));
-    }
+    });
     ok &= app.obs.recorded() > 0;
     app.obs.set_enabled(true);
 
+    let per_pass = requests as f64;
     vec![ObservabilityRow {
         name,
         requests,
         particles_per_request,
-        off_seconds,
-        on_seconds,
-        off_requests_per_sec: requests as f64 / off_seconds,
-        on_requests_per_sec: requests as f64 / on_seconds,
-        tracing_on_overhead_pct: (on_seconds / off_seconds - 1.0) * 100.0,
-        ok,
-    }]
-}
-
-/// One admission-control measurement: how fast the full
-/// parse → guide-type check → compatibility → compile pipeline admits a
-/// model, in-process and over HTTP (`POST /v1/models`).
-#[derive(Debug, Clone)]
-pub struct AdmissionRow {
-    /// In-process pipeline runs timed.
-    pub compiles: usize,
-    /// Wall time of the in-process compile loop, in seconds.
-    pub compile_seconds: f64,
-    /// Full-pipeline admissions per second, in-process.
-    pub compiles_per_sec: f64,
-    /// Wall time from `POST /v1/models` to the first `/v1/query` response
-    /// over loopback HTTP, in seconds.
-    pub submit_to_first_query_seconds: f64,
-    /// The submission was a 201, the query a 200, and the query body was
-    /// byte-identical to the in-process run of the same sources.
-    pub ok: bool,
-}
-
-/// The model–guide pair the admission benchmark submits.
-const ADMISSION_MODEL_SRC: &str = r#"
-    proc Model() : real consume latent provide obs {
-      let mu <- sample recv latent (Normal(0.0, 1.0));
-      let _ <- sample send obs (Normal(mu, 1.0));
-      return mu
-    }
-"#;
-const ADMISSION_GUIDE_SRC: &str = r#"
-    proc Guide() provide latent {
-      let mu <- sample send latent (Normal(0.0, 2.0));
-      return ()
-    }
-"#;
-
-/// Measures model admission: the in-process compile pipeline in a tight
-/// loop, then one HTTP submit→first-query round trip against a loopback
-/// `ppl-serve`, with the query body verified bit-identical to the
-/// in-process run.
-pub fn admission_rows(config: &ThroughputConfig) -> Vec<AdmissionRow> {
-    use ppl_serve::http::ClientConn;
-    use ppl_serve::{api, App, Json, Registry, Server};
-
-    let compiles = 32usize;
-    let start = Instant::now();
-    for _ in 0..compiles {
-        let session =
-            Session::from_sources(ADMISSION_MODEL_SRC, "Model", ADMISSION_GUIDE_SRC, "Guide")
-                .expect("admission benchmark sources compile");
-        std::hint::black_box(&session);
-    }
-    let compile_seconds = start.elapsed().as_secs_f64();
-
-    // The expected query body, serialised exactly as the route would.
-    let method = guide_ppl::Method::Importance { particles: 200 };
-    let session = Session::from_sources(ADMISSION_MODEL_SRC, "Model", ADMISSION_GUIDE_SRC, "Guide")
-        .expect("admission benchmark sources compile");
-    let posterior = session
-        .query()
-        .observe([ppl_dist::Sample::Real(1.0)])
-        .seed(config.seed)
-        .run(&method)
-        .expect("in-process run");
-
-    let app = App::new(Registry::from_benchmarks(), 16);
-    let server = Server::bind("127.0.0.1:0", 2, app.handler()).expect("bind loopback");
-    let mut conn = ClientConn::connect(server.local_addr()).expect("loopback connect");
-    let submit = Json::Obj(vec![
-        ("name".into(), Json::str("admission-bench")),
-        ("model_src".into(), Json::str(ADMISSION_MODEL_SRC)),
-        ("guide_src".into(), Json::str(ADMISSION_GUIDE_SRC)),
-    ])
-    .write()
-    .expect("finite");
-
-    let start = Instant::now();
-    let (submit_status, _, submit_body) = conn
-        .send("POST", "/v1/models", Some(&submit))
-        .expect("submit request");
-    let id = Json::parse(std::str::from_utf8(&submit_body).unwrap_or_default())
-        .ok()
-        .and_then(|doc| doc.get("id").and_then(Json::as_str).map(str::to_string))
-        .unwrap_or_default();
-    let query = format!(
-        r#"{{"model":"{id}","observations":[1.0],"method":{{"algorithm":"importance","particles":200}},"seed":{}}}"#,
-        config.seed
-    );
-    let (query_status, _, query_body) = conn
-        .send("POST", "/v1/query", Some(&query))
-        .expect("first query");
-    let submit_to_first_query_seconds = start.elapsed().as_secs_f64();
-    server.shutdown();
-
-    let expected = api::query_response_json(&id, &method, config.seed, &posterior, 0)
-        .write()
-        .expect("finite");
-    let ok = submit_status == 201 && query_status == 200 && query_body == expected.as_bytes();
-
-    vec![AdmissionRow {
-        compiles,
-        compile_seconds,
-        compiles_per_sec: compiles as f64 / compile_seconds,
-        submit_to_first_query_seconds,
+        off_requests_per_sec: trials.stat(|s| per_pass / s[0]),
+        on_requests_per_sec: trials.stat(|s| per_pass / s[1]),
+        tracing_on_overhead_pct: trials.stat(|s| (s[1] / s[0] - 1.0) * 100.0),
         ok,
     }]
 }
@@ -733,6 +498,9 @@ pub struct OverloadRow {
     pub connect_errors: usize,
     /// `shed / (accepted + shed)`.
     pub shed_rate: f64,
+    /// Wall latency of the accepted requests, in milliseconds (`n` is
+    /// [`OverloadRow::accepted`]).
+    pub accepted_ms: Stat,
     /// p99 wall latency of the accepted requests, in milliseconds.
     pub accepted_p99_ms: f64,
     /// Every `429` carried a `Retry-After` header.
@@ -749,6 +517,7 @@ pub struct OverloadRow {
 pub fn overload_rows(config: &ThroughputConfig) -> Vec<OverloadRow> {
     use ppl_serve::http::ClientConn;
     use ppl_serve::{App, Registry, Server, ServerConfig};
+    use std::time::Instant;
 
     let name = "ex-1";
     let clients = 8usize;
@@ -874,6 +643,7 @@ pub fn overload_rows(config: &ThroughputConfig) -> Vec<OverloadRow> {
         errors_5xx,
         connect_errors,
         shed_rate,
+        accepted_ms: Stat::of(accepted_ms),
         accepted_p99_ms,
         retry_after_ok,
         post_storm_identical,
@@ -882,11 +652,10 @@ pub fn overload_rows(config: &ThroughputConfig) -> Vec<OverloadRow> {
 }
 
 /// One amortized-inference measurement: the wall cost of a cold VI query
-/// (fit + draw in one request) versus artifact-warm queries that reuse a
-/// persisted fit through `"artifact": "a-…"` — the serving payoff of the
-/// PR 8 artifact store.  The response cache is disabled so every warm
-/// request genuinely re-runs the draw pass; the speedup is pure fit
-/// amortization, not response memoisation.
+/// (fit + draw in one request) versus an artifact-warm query that reuses a
+/// persisted fit through `"artifact": "a-…"`.  The response cache is
+/// disabled so every warm request genuinely re-runs the draw pass; the
+/// speedup is pure fit amortization, not response memoisation.
 #[derive(Debug, Clone)]
 pub struct AmortizationRow {
     /// Benchmark name served.
@@ -897,36 +666,31 @@ pub struct AmortizationRow {
     pub samples_per_iteration: usize,
     /// Posterior draw particles per query.
     pub draw_particles: usize,
-    /// Warm requests measured.
-    pub requests: usize,
-    /// Wall time of one cold query (fit + draw), in seconds.
-    pub cold_seconds: f64,
-    /// Wall time of the warm pass, in seconds.
-    pub warm_seconds: f64,
-    /// Cold queries per second (1 / cold_seconds).
-    pub cold_queries_per_sec: f64,
-    /// Warm queries per second.
-    pub warm_queries_per_sec: f64,
-    /// `warm_queries_per_sec / cold_queries_per_sec` — the amortization
-    /// factor (the acceptance bar is ≥ 10×).
-    pub amortization: f64,
-    /// Artifacts resident in the store after the pass.
+    /// Cold queries (fit + draw) per second.
+    pub cold_queries_per_sec: Stat,
+    /// Artifact-warm queries per second.
+    pub warm_queries_per_sec: Stat,
+    /// Cold over warm wall time, trial by trial — the amortization factor.
+    pub amortization: Stat,
+    /// Artifacts resident in the store after the run.
     pub artifacts: u64,
     /// Bytes of canonical artifact JSON resident in the store.
     pub store_bytes: u64,
-    /// Warm starts the store served during the pass.
+    /// Warm starts the store served, one per warm query.
     pub warm_starts: u64,
-    /// Every response was a 200, every warm body was byte-identical to the
-    /// cold one, and the warm pass ran **zero** VI fit executions
-    /// (verified against `ppl_inference::counters`).
+    /// Every response was a 200, every cold and warm body was
+    /// byte-identical to the first cold one, and no warm query ran a VI
+    /// fit execution (verified against `ppl_inference::counters` around
+    /// each warm query alone).
     pub ok: bool,
 }
 
-/// Measures amortized inference over loopback HTTP: one cold VI query
-/// (fit + draw), one `POST /v1/fit`, then a pass of artifact-warm queries
-/// with the byte-identity and the zero-fit-executions invariant
+/// Measures amortized inference over loopback HTTP: one `POST /v1/fit`,
+/// then cold VI queries (fit + draw) interleaved with artifact-warm
+/// queries, with byte-identity and the zero-fit-executions invariant
 /// re-verified per request.
 pub fn amortization_rows(config: &ThroughputConfig) -> Vec<AmortizationRow> {
+    use ppl_inference::counters::vi_fit_executions;
     use ppl_serve::http::ClientConn;
     use ppl_serve::{App, Registry, Server};
     use ppl_store::Store;
@@ -935,28 +699,13 @@ pub fn amortization_rows(config: &ThroughputConfig) -> Vec<AmortizationRow> {
     let fit_iterations = 100usize;
     let samples_per_iteration = 8usize;
     let draw_particles = 200usize;
-    let requests = 8usize;
 
-    // Cache capacity 0: warm requests must re-run the draw pass, so the
-    // measured ratio is fit amortization alone.
+    // Cache capacity 0: every query re-runs its draw pass (and a cold one
+    // its fit), so the measured ratio is fit amortization alone.
     let store = std::sync::Arc::new(Store::in_memory(16));
     let app = App::with_store(Registry::from_benchmarks(), 0, config.block, store);
     let server = Server::bind("127.0.0.1:0", 2, app.handler()).expect("bind loopback");
     let mut conn = ClientConn::connect(server.local_addr()).expect("loopback connect");
-
-    let cold_body = format!(
-        r#"{{"model":"{name}","observations":[9.0,9.0],"seed":{},
-            "method":{{"algorithm":"vi","iterations":{fit_iterations},
-                       "samples_per_iteration":{samples_per_iteration},
-                       "draw_particles":{draw_particles}}}}}"#,
-        config.seed
-    );
-    let start = Instant::now();
-    let (cold_status, _, cold_response) = conn
-        .send("POST", "/v1/query", Some(&cold_body))
-        .expect("cold query");
-    let cold_seconds = start.elapsed().as_secs_f64();
-    let mut ok = cold_status == 200;
 
     let fit_body = format!(
         r#"{{"model":"{name}","observations":[9.0,9.0],"seed":{},
@@ -967,48 +716,57 @@ pub fn amortization_rows(config: &ThroughputConfig) -> Vec<AmortizationRow> {
     let (fit_status, _, fit_response) = conn
         .send("POST", "/v1/fit", Some(&fit_body))
         .expect("fit request");
-    ok &= fit_status == 201;
-    let id = ppl_serve::Json::parse(std::str::from_utf8(&fit_response).unwrap_or_default())
+    let mut ok = fit_status == 201;
+    let id = Json::parse(std::str::from_utf8(&fit_response).unwrap_or_default())
         .ok()
-        .and_then(|doc| {
-            doc.get("id")
-                .and_then(ppl_serve::Json::as_str)
-                .map(str::to_string)
-        })
+        .and_then(|doc| doc.get("id").and_then(Json::as_str).map(str::to_string))
         .unwrap_or_default();
 
+    let cold_body = format!(
+        r#"{{"model":"{name}","observations":[9.0,9.0],"seed":{},
+            "method":{{"algorithm":"vi","iterations":{fit_iterations},
+                       "samples_per_iteration":{samples_per_iteration},
+                       "draw_particles":{draw_particles}}}}}"#,
+        config.seed
+    );
     let warm_body =
         format!(r#"{{"model":"{name}","artifact":"{id}","draw_particles":{draw_particles}}}"#);
-    let fit_executions_before = ppl_inference::counters::vi_fit_executions();
-    let start = Instant::now();
-    for _ in 0..requests {
-        let (status, _, response) = conn
-            .send("POST", "/v1/query", Some(&warm_body))
-            .expect("warm query");
-        ok &= status == 200 && response == cold_response;
-    }
-    let warm_seconds = start.elapsed().as_secs_f64();
-    // The loopback server runs in-process, so the counter covers it: the
-    // warm pass must not have scheduled a single VI fit execution.
-    ok &= ppl_inference::counters::vi_fit_executions() == fit_executions_before;
+    // The warm-up runs the cold query first, so the warm queries always
+    // have a reference body to match.
+    let mut reference: Option<Vec<u8>> = None;
+    let trials = measure(2, |i| {
+        if i == 0 {
+            let (status, _, body) = conn
+                .send("POST", "/v1/query", Some(&cold_body))
+                .expect("cold query");
+            ok &= status == 200 && *reference.get_or_insert_with(|| body.clone()) == body;
+        } else {
+            // The loopback server runs in-process, so the counter covers
+            // it: the warm query must not schedule a single VI fit.
+            let fits_before = vi_fit_executions();
+            let (status, _, body) = conn
+                .send("POST", "/v1/query", Some(&warm_body))
+                .expect("warm query");
+            ok &= vi_fit_executions() == fits_before;
+            ok &= status == 200 && reference.as_ref() == Some(&body);
+        }
+    });
+    // Close the keep-alive connection first: a worker still serving it
+    // would hold `shutdown` until its read timeout.
+    drop(conn);
     let artifacts = app.store.len() as u64;
     let store_bytes = app.store.bytes();
     let warm_starts = app.store.warm_starts();
     server.shutdown();
 
-    let cold_queries_per_sec = 1.0 / cold_seconds;
-    let warm_queries_per_sec = requests as f64 / warm_seconds;
     vec![AmortizationRow {
         name,
         fit_iterations,
         samples_per_iteration,
         draw_particles,
-        requests,
-        cold_seconds,
-        warm_seconds,
-        cold_queries_per_sec,
-        warm_queries_per_sec,
-        amortization: warm_queries_per_sec / cold_queries_per_sec,
+        cold_queries_per_sec: trials.stat(|s| 1.0 / s[0]),
+        warm_queries_per_sec: trials.stat(|s| 1.0 / s[1]),
+        amortization: trials.stat(|s| s[0] / s[1]),
         artifacts,
         store_bytes,
         warm_starts,
@@ -1016,359 +774,246 @@ pub fn amortization_rows(config: &ThroughputConfig) -> Vec<AmortizationRow> {
     }]
 }
 
-/// Times each inference engine once on a reference workload.
-pub fn engine_timings(config: &ThroughputConfig) -> Vec<EngineTiming> {
-    let mut out = Vec::new();
-
-    // IS on ex-1 (threads as configured).
-    {
-        let session = Session::from_benchmark("ex-1").expect("ex-1");
-        let b = ppl_models::benchmark("ex-1").expect("ex-1");
-        let executor = session.executor(b.observations.clone());
-        let mut rng = Pcg32::seed_from_u64(config.seed);
-        let start = Instant::now();
-        let result = ImportanceSampler::new(config.particles)
-            .with_threads(config.threads)
-            .run(&executor, &session.spec(), &mut rng)
-            .expect("IS");
-        out.push(EngineTiming {
-            engine: "IS",
-            benchmark: "ex-1",
-            wall_seconds: start.elapsed().as_secs_f64(),
-            metric: "ess",
-            value: result.ess,
-        });
-    }
-
-    // VI on weight (mini-batches through the same parallel driver).
-    {
-        let session = Session::from_benchmark("weight").expect("weight");
-        let b = ppl_models::benchmark("weight").expect("weight");
-        let executor = session.executor(b.observations.clone());
-        let params: Vec<ParamSpec> = b
-            .guide_params
-            .iter()
-            .map(|p| {
-                if p.positive {
-                    ParamSpec::positive(p.name, p.init)
-                } else {
-                    ParamSpec::unconstrained(p.name, p.init)
-                }
-            })
-            .collect();
-        let vi_config = ViConfig {
-            iterations: 60,
-            samples_per_iteration: 8,
-            num_threads: config.threads,
-            ..ViConfig::default()
-        };
-        let mut rng = Pcg32::seed_from_u64(config.seed);
-        let start = Instant::now();
-        let result = VariationalInference::new(vi_config)
-            .run(&executor, &session.spec(), &params, &mut rng)
-            .expect("VI");
-        out.push(EngineTiming {
-            engine: "VI",
-            benchmark: "weight",
-            wall_seconds: start.elapsed().as_secs_f64(),
-            metric: "final_elbo",
-            value: result.final_elbo(),
-        });
-    }
-
-    // MCMC on ex-1 (sequential chain over the borrowed-replay path).
-    {
-        let session = Session::from_benchmark("ex-1").expect("ex-1");
-        let b = ppl_models::benchmark("ex-1").expect("ex-1");
-        let executor = session.executor(b.observations.clone());
-        let iterations = (config.particles / 4).max(100);
-        let mut rng = Pcg32::seed_from_u64(config.seed);
-        let start = Instant::now();
-        let result = IndependenceMh::new(iterations, iterations / 10)
-            .run(&executor, &session.spec(), &mut rng)
-            .expect("MCMC");
-        out.push(EngineTiming {
-            engine: "MCMC",
-            benchmark: "ex-1",
-            wall_seconds: start.elapsed().as_secs_f64(),
-            metric: "acceptance_rate",
-            value: result.acceptance_rate,
-        });
-    }
-
-    out
+/// Every row `ppl-bench` reports, in report order.
+#[derive(Debug, Clone)]
+pub struct Report {
+    /// The configuration every row ran at.
+    pub config: ThroughputConfig,
+    /// [`throughput_rows`].
+    pub throughput: Vec<ThroughputRow>,
+    /// [`block_rows`].
+    pub blocks: Vec<BlockRow>,
+    /// [`mcmc_rows`].
+    pub mcmc: Vec<McmcRow>,
+    /// [`serving_rows`].
+    pub serving: Vec<ServingRow>,
+    /// [`amortization_rows`].
+    pub amortization: Vec<AmortizationRow>,
+    /// [`overload_rows`].
+    pub overload: Vec<OverloadRow>,
+    /// [`observability_rows`].
+    pub observability: Vec<ObservabilityRow>,
 }
 
-/// Serialises the measurements as the `BENCH_inference.json` document.
-#[allow(clippy::too_many_arguments)] // one slice per report section, by design
-pub fn bench_json(
-    config: &ThroughputConfig,
-    rows: &[ThroughputRow],
-    blocks: &[BlockRow],
-    engines: &[EngineTiming],
-    serving: &[ServingRow],
-    mcmc: &[McmcRow],
-    http: &[HttpRow],
-    admission: &[AdmissionRow],
-    amortization: &[AmortizationRow],
-    overload: &[OverloadRow],
-    observability: &[ObservabilityRow],
-) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    let _ = writeln!(s, "  \"schema\": \"ppl-bench/inference/v8\",");
-    let _ = writeln!(s, "  \"particles\": {},", config.particles);
-    let _ = writeln!(s, "  \"threads\": {},", config.threads);
-    let _ = writeln!(s, "  \"block\": {},", config.block);
-    let _ = writeln!(s, "  \"seed\": {},", config.seed);
-    // Provenance: parallel speedups are only meaningful relative to the
-    // cores the measuring host actually had.
-    let _ = writeln!(
-        s,
-        "  \"host_cpus\": {},",
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    );
-    s.push_str("  \"throughput\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let _ = write!(
-            s,
-            "    {{\"name\": \"{}\", \"algorithm\": \"IS\", \"particles\": {}, \"threads\": {}, \
-             \"block\": {}, \"seq_seconds\": {}, \"par_seconds\": {}, \"seq_particles_per_sec\": {}, \
-             \"par_particles_per_sec\": {}, \"speedup\": {}, \"ess\": {}, \"log_evidence\": {}, \
-             \"bit_identical\": {}, \"allocs_per_particle\": {}}}",
-            r.name,
-            r.particles,
-            r.threads,
-            r.block,
-            json_f64(r.seq_seconds),
-            json_f64(r.par_seconds),
-            json_f64(r.seq_particles_per_sec),
-            json_f64(r.par_particles_per_sec),
-            json_f64(r.speedup),
-            json_f64(r.ess),
-            json_f64(r.log_evidence),
-            r.bit_identical,
-            json_f64(r.allocs_per_particle),
-        );
-        s.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
+impl Report {
+    /// Runs every row at `config`.
+    pub fn run(config: &ThroughputConfig) -> Report {
+        Report {
+            config: *config,
+            throughput: throughput_rows(config),
+            blocks: block_rows(config),
+            mcmc: mcmc_rows(config),
+            serving: serving_rows(config),
+            amortization: amortization_rows(config),
+            overload: overload_rows(config),
+            observability: observability_rows(config),
+        }
     }
-    s.push_str("  ],\n");
-    s.push_str("  \"blocks\": [\n");
-    for (i, r) in blocks.iter().enumerate() {
-        let _ = write!(
-            s,
-            "    {{\"name\": \"{}\", \"algorithm\": \"IS\", \"block\": {}, \"particles\": {}, \
-             \"wall_seconds\": {}, \"particles_per_sec\": {}, \"speedup_vs_scalar\": {}, \
-             \"bit_identical\": {}}}",
-            r.name,
-            r.block,
-            r.particles,
-            json_f64(r.wall_seconds),
-            json_f64(r.particles_per_sec),
-            json_f64(r.speedup_vs_scalar),
-            r.bit_identical,
-        );
-        s.push_str(if i + 1 < blocks.len() { ",\n" } else { "\n" });
+
+    /// Whether every bit-identity, byte-identity and contract check held.
+    pub fn ok(&self) -> bool {
+        self.throughput.iter().all(|r| r.bit_identical)
+            && self.blocks.iter().all(|r| r.bit_identical)
+            && self.serving.iter().all(|r| r.bit_identical)
+            && self.amortization.iter().all(|r| r.ok)
+            && self.overload.iter().all(|r| r.ok)
+            && self.observability.iter().all(|r| r.ok)
     }
-    s.push_str("  ],\n");
-    s.push_str("  \"mcmc\": [\n");
-    for (i, r) in mcmc.iter().enumerate() {
-        let _ = write!(
-            s,
-            "    {{\"name\": \"{}\", \"algorithm\": \"MH\", \"iterations\": {}, \
-             \"wall_seconds\": {}, \"proposals_per_sec\": {}, \"acceptance_rate\": {}, \
-             \"allocs_per_proposal\": {}}}",
-            r.name,
-            r.iterations,
-            json_f64(r.wall_seconds),
-            json_f64(r.proposals_per_sec),
-            json_f64(r.acceptance_rate),
-            json_f64(r.allocs_per_proposal),
-        );
-        s.push_str(if i + 1 < mcmc.len() { ",\n" } else { "\n" });
+
+    /// The `BENCH_inference.json` document.  A timed figure `k` is its
+    /// median, with `k_p10`, `k_p90` and the row's `trials` beside it;
+    /// non-finite numbers are `null`.
+    pub fn json(&self) -> Json {
+        fn rows<T>(rows: &[T], json: fn(&T) -> Json) -> Json {
+            Json::Arr(rows.iter().map(json).collect())
+        }
+        let c = &self.config;
+        Members::default()
+            .with("schema", Json::str("ppl-bench/inference/v9"))
+            .count("particles", c.particles)
+            .count("threads", c.threads)
+            .count("block", c.block)
+            .with("seed", Json::Num(c.seed as f64))
+            // Provenance: parallel speedups are only meaningful relative
+            // to the cores the measuring host actually had.
+            .count(
+                "host_cpus",
+                std::thread::available_parallelism().map_or(1, |n| n.get()),
+            )
+            .with("throughput", rows(&self.throughput, ThroughputRow::json))
+            .with("blocks", rows(&self.blocks, BlockRow::json))
+            .with("mcmc", rows(&self.mcmc, McmcRow::json))
+            .with("serving", rows(&self.serving, ServingRow::json))
+            .with(
+                "amortization",
+                rows(&self.amortization, AmortizationRow::json),
+            )
+            .with("overload", rows(&self.overload, OverloadRow::json))
+            .with(
+                "observability",
+                rows(&self.observability, ObservabilityRow::json),
+            )
+            .done()
     }
-    s.push_str("  ],\n");
-    s.push_str("  \"serving\": [\n");
-    for (i, r) in serving.iter().enumerate() {
-        let _ = write!(
-            s,
-            "    {{\"name\": \"{}\", \"queries\": {}, \"particles_per_query\": {}, \
-             \"batch_threads\": {}, \"seq_seconds\": {}, \"par_seconds\": {}, \
-             \"seq_queries_per_sec\": {}, \"par_queries_per_sec\": {}, \"speedup\": {}, \
-             \"bit_identical\": {}}}",
-            r.name,
-            r.queries,
-            r.particles_per_query,
-            r.batch_threads,
-            json_f64(r.seq_seconds),
-            json_f64(r.par_seconds),
-            json_f64(r.seq_queries_per_sec),
-            json_f64(r.par_queries_per_sec),
-            json_f64(r.speedup),
-            r.bit_identical,
-        );
-        s.push_str(if i + 1 < serving.len() { ",\n" } else { "\n" });
-    }
-    s.push_str("  ],\n");
-    s.push_str("  \"http\": [\n");
-    for (i, r) in http.iter().enumerate() {
-        let _ = write!(
-            s,
-            "    {{\"name\": \"{}\", \"requests\": {}, \"particles_per_request\": {}, \
-             \"cold_seconds\": {}, \"warm_seconds\": {}, \"cold_requests_per_sec\": {}, \
-             \"warm_requests_per_sec\": {}, \"cache_hit_rate\": {}, \"ok\": {}}}",
-            r.name,
-            r.requests,
-            r.particles_per_request,
-            json_f64(r.cold_seconds),
-            json_f64(r.warm_seconds),
-            json_f64(r.cold_requests_per_sec),
-            json_f64(r.warm_requests_per_sec),
-            json_f64(r.cache_hit_rate),
-            r.ok,
-        );
-        s.push_str(if i + 1 < http.len() { ",\n" } else { "\n" });
-    }
-    s.push_str("  ],\n");
-    s.push_str("  \"admission\": [\n");
-    for (i, r) in admission.iter().enumerate() {
-        let _ = write!(
-            s,
-            "    {{\"compiles\": {}, \"compile_seconds\": {}, \"compiles_per_sec\": {}, \
-             \"submit_to_first_query_seconds\": {}, \"ok\": {}}}",
-            r.compiles,
-            json_f64(r.compile_seconds),
-            json_f64(r.compiles_per_sec),
-            json_f64(r.submit_to_first_query_seconds),
-            r.ok,
-        );
-        s.push_str(if i + 1 < admission.len() { ",\n" } else { "\n" });
-    }
-    s.push_str("  ],\n");
-    s.push_str("  \"amortization\": [\n");
-    for (i, r) in amortization.iter().enumerate() {
-        let _ = write!(
-            s,
-            "    {{\"name\": \"{}\", \"fit_iterations\": {}, \"samples_per_iteration\": {}, \
-             \"draw_particles\": {}, \"requests\": {}, \"cold_seconds\": {}, \
-             \"warm_seconds\": {}, \"cold_queries_per_sec\": {}, \"warm_queries_per_sec\": {}, \
-             \"amortization\": {}, \"ok\": {}}}",
-            r.name,
-            r.fit_iterations,
-            r.samples_per_iteration,
-            r.draw_particles,
-            r.requests,
-            json_f64(r.cold_seconds),
-            json_f64(r.warm_seconds),
-            json_f64(r.cold_queries_per_sec),
-            json_f64(r.warm_queries_per_sec),
-            json_f64(r.amortization),
-            r.ok,
-        );
-        s.push_str(if i + 1 < amortization.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
-    }
-    s.push_str("  ],\n");
-    s.push_str("  \"overload\": [\n");
-    for (i, r) in overload.iter().enumerate() {
-        let _ = write!(
-            s,
-            "    {{\"name\": \"{}\", \"clients\": {}, \"requests_per_client\": {}, \
-             \"particles_per_request\": {}, \"accepted\": {}, \"shed\": {}, \
-             \"errors_5xx\": {}, \"connect_errors\": {}, \"shed_rate\": {}, \
-             \"accepted_p99_ms\": {}, \"retry_after_ok\": {}, \"post_storm_identical\": {}, \
-             \"ok\": {}}}",
-            r.name,
-            r.clients,
-            r.requests_per_client,
-            r.particles_per_request,
-            r.accepted,
-            r.shed,
-            r.errors_5xx,
-            r.connect_errors,
-            json_f64(r.shed_rate),
-            json_f64(r.accepted_p99_ms),
-            r.retry_after_ok,
-            r.post_storm_identical,
-            r.ok,
-        );
-        s.push_str(if i + 1 < overload.len() { ",\n" } else { "\n" });
-    }
-    s.push_str("  ],\n");
-    s.push_str("  \"observability\": [\n");
-    for (i, r) in observability.iter().enumerate() {
-        let _ = write!(
-            s,
-            "    {{\"name\": \"{}\", \"requests\": {}, \"particles_per_request\": {}, \
-             \"off_seconds\": {}, \"on_seconds\": {}, \"off_requests_per_sec\": {}, \
-             \"on_requests_per_sec\": {}, \"tracing_on_overhead_pct\": {}, \"ok\": {}}}",
-            r.name,
-            r.requests,
-            r.particles_per_request,
-            json_f64(r.off_seconds),
-            json_f64(r.on_seconds),
-            json_f64(r.off_requests_per_sec),
-            json_f64(r.on_requests_per_sec),
-            json_f64(r.tracing_on_overhead_pct),
-            r.ok,
-        );
-        s.push_str(if i + 1 < observability.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
-    }
-    s.push_str("  ],\n");
-    // Store gauges from the amortization run (the only scenario that
-    // exercises the artifact store).
-    let (artifacts, store_bytes, warm_starts) = amortization
-        .first()
-        .map_or((0, 0, 0), |r| (r.artifacts, r.store_bytes, r.warm_starts));
-    let _ = writeln!(
-        s,
-        "  \"store\": {{\"artifacts\": {artifacts}, \"bytes\": {store_bytes}, \
-         \"warm_starts\": {warm_starts}}},"
-    );
-    s.push_str("  \"engines\": [\n");
-    for (i, e) in engines.iter().enumerate() {
-        let _ = write!(
-            s,
-            "    {{\"engine\": \"{}\", \"benchmark\": \"{}\", \"wall_seconds\": {}, \
-             \"metric\": \"{}\", \"value\": {}}}",
-            e.engine,
-            e.benchmark,
-            json_f64(e.wall_seconds),
-            e.metric,
-            json_f64(e.value),
-        );
-        s.push_str(if i + 1 < engines.len() { ",\n" } else { "\n" });
-    }
-    s.push_str("  ]\n}\n");
-    s
 }
 
-/// Formats an `f64` as a JSON number (JSON has no NaN/∞, so those become
-/// `null`).
-fn json_f64(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:?}")
-    } else {
-        "null".to_string()
+/// A report object under construction; members keep insertion order.
+#[derive(Default)]
+struct Members(Vec<(String, Json)>);
+
+impl Members {
+    fn with(mut self, key: &str, value: Json) -> Members {
+        self.0.push((key.to_string(), value));
+        self
+    }
+
+    fn count(self, key: &str, n: usize) -> Members {
+        self.with(key, Json::Num(n as f64))
+    }
+
+    fn num(self, key: &str, x: f64) -> Members {
+        self.with(key, Json::num_or_null(x))
+    }
+
+    fn timed(self, key: &str, stat: &Stat) -> Members {
+        self.num(key, stat.median)
+            .num(&format!("{key}_p10"), stat.p10)
+            .num(&format!("{key}_p90"), stat.p90)
+    }
+
+    fn done(self) -> Json {
+        Json::Obj(self.0)
+    }
+}
+
+impl ThroughputRow {
+    fn json(&self) -> Json {
+        Members::default()
+            .with("name", Json::str(self.name))
+            .with("algorithm", Json::str("IS"))
+            .count("particles", self.particles)
+            .count("threads", self.threads)
+            .count("block", self.block)
+            .count("trials", self.speedup.n)
+            .timed("seq_particles_per_sec", &self.seq_particles_per_sec)
+            .timed("par_particles_per_sec", &self.par_particles_per_sec)
+            .timed("speedup", &self.speedup)
+            .num("ess", self.ess)
+            .num("log_evidence", self.log_evidence)
+            .with("bit_identical", Json::Bool(self.bit_identical))
+            .num("allocs_per_particle", self.allocs_per_particle)
+            .done()
+    }
+}
+
+impl BlockRow {
+    fn json(&self) -> Json {
+        Members::default()
+            .with("name", Json::str(self.name))
+            .with("algorithm", Json::str("IS"))
+            .count("block", self.block)
+            .count("particles", self.particles)
+            .count("trials", self.particles_per_sec.n)
+            .timed("particles_per_sec", &self.particles_per_sec)
+            .timed("speedup_vs_scalar", &self.speedup_vs_scalar)
+            .with("bit_identical", Json::Bool(self.bit_identical))
+            .done()
+    }
+}
+
+impl McmcRow {
+    fn json(&self) -> Json {
+        Members::default()
+            .with("name", Json::str(self.name))
+            .with("algorithm", Json::str("MH"))
+            .count("iterations", self.iterations)
+            .count("trials", self.proposals_per_sec.n)
+            .timed("proposals_per_sec", &self.proposals_per_sec)
+            .num("acceptance_rate", self.acceptance_rate)
+            .num("allocs_per_proposal", self.allocs_per_proposal)
+            .done()
+    }
+}
+
+impl ServingRow {
+    fn json(&self) -> Json {
+        Members::default()
+            .with("name", Json::str(self.name))
+            .count("queries", self.queries)
+            .count("particles_per_query", self.particles_per_query)
+            .count("batch_threads", self.batch_threads)
+            .count("trials", self.speedup.n)
+            .timed("seq_queries_per_sec", &self.seq_queries_per_sec)
+            .timed("par_queries_per_sec", &self.par_queries_per_sec)
+            .timed("speedup", &self.speedup)
+            .with("bit_identical", Json::Bool(self.bit_identical))
+            .done()
+    }
+}
+
+impl AmortizationRow {
+    fn json(&self) -> Json {
+        Members::default()
+            .with("name", Json::str(self.name))
+            .count("fit_iterations", self.fit_iterations)
+            .count("samples_per_iteration", self.samples_per_iteration)
+            .count("draw_particles", self.draw_particles)
+            .count("trials", self.amortization.n)
+            .timed("cold_queries_per_sec", &self.cold_queries_per_sec)
+            .timed("warm_queries_per_sec", &self.warm_queries_per_sec)
+            .timed("amortization", &self.amortization)
+            .with("artifacts", Json::Num(self.artifacts as f64))
+            .with("store_bytes", Json::Num(self.store_bytes as f64))
+            .with("warm_starts", Json::Num(self.warm_starts as f64))
+            .with("ok", Json::Bool(self.ok))
+            .done()
+    }
+}
+
+impl OverloadRow {
+    fn json(&self) -> Json {
+        Members::default()
+            .with("name", Json::str(self.name))
+            .count("clients", self.clients)
+            .count("requests_per_client", self.requests_per_client)
+            .count("particles_per_request", self.particles_per_request)
+            .count("accepted", self.accepted)
+            .count("shed", self.shed)
+            .count("errors_5xx", self.errors_5xx)
+            .count("connect_errors", self.connect_errors)
+            .num("shed_rate", self.shed_rate)
+            .timed("accepted_ms", &self.accepted_ms)
+            .num("accepted_p99_ms", self.accepted_p99_ms)
+            .with("retry_after_ok", Json::Bool(self.retry_after_ok))
+            .with(
+                "post_storm_identical",
+                Json::Bool(self.post_storm_identical),
+            )
+            .with("ok", Json::Bool(self.ok))
+            .done()
+    }
+}
+
+impl ObservabilityRow {
+    fn json(&self) -> Json {
+        Members::default()
+            .with("name", Json::str(self.name))
+            .count("requests", self.requests)
+            .count("particles_per_request", self.particles_per_request)
+            .count("trials", self.tracing_on_overhead_pct.n)
+            .timed("off_requests_per_sec", &self.off_requests_per_sec)
+            .timed("on_requests_per_sec", &self.on_requests_per_sec)
+            .timed("tracing_on_overhead_pct", &self.tracing_on_overhead_pct)
+            .with("ok", Json::Bool(self.ok))
+            .done()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::{Mutex, PoisonError};
-
-    /// Held by the tests that run VI fits: `amortization_rows` proves its
-    /// warm pass ran no fit by the process-global fit counter, so a fit in
-    /// a concurrently running test must not land inside that window.
-    static VI_FITS: Mutex<()> = Mutex::new(());
+    use crate::tests::VI_FITS;
+    use std::sync::PoisonError;
 
     #[test]
     fn throughput_rows_are_bit_identical_across_thread_counts() {
@@ -1382,9 +1027,11 @@ mod tests {
         assert_eq!(rows.len(), 3, "the Table 2 IS subset");
         for r in &rows {
             assert!(r.bit_identical, "{}: thread count changed results", r.name);
-            assert!(r.seq_particles_per_sec > 0.0);
-            assert!(r.par_particles_per_sec > 0.0);
-            assert!(r.speedup.is_finite() && r.speedup > 0.0);
+            assert!(r.seq_particles_per_sec.median > 0.0);
+            assert!(r.par_particles_per_sec.median > 0.0);
+            assert!(r.speedup.median.is_finite() && r.speedup.median > 0.0);
+            assert!(r.speedup.p10 <= r.speedup.median && r.speedup.median <= r.speedup.p90);
+            assert!(r.speedup.n >= crate::measure::MIN_TRIALS);
             assert!(r.log_evidence.is_finite(), "{}", r.name);
             assert!(r.ess > 1.0, "{}: ess {}", r.name, r.ess);
             // The lib test binary does not install the counting allocator,
@@ -1405,13 +1052,16 @@ mod tests {
         assert_eq!(rows.len(), 3 * BLOCK_SCAN.len());
         for r in &rows {
             assert!(r.bit_identical, "{} block {} diverged", r.name, r.block);
-            assert!(r.particles_per_sec > 0.0);
-            assert!(r.speedup_vs_scalar.is_finite() && r.speedup_vs_scalar > 0.0);
+            assert!(r.particles_per_sec.median > 0.0);
+            let speedup = r.speedup_vs_scalar.median;
+            assert!(speedup.is_finite() && speedup > 0.0);
         }
-        // Every benchmark leads with its scalar reference row.
+        // Every benchmark leads with its scalar reference row, whose
+        // per-trial ratio to itself is exactly one.
         for chunk in rows.chunks(BLOCK_SCAN.len()) {
             assert_eq!(chunk[0].block, 1);
-            assert!((chunk[0].speedup_vs_scalar - 1.0).abs() < 1e-12);
+            assert_eq!(chunk[0].speedup_vs_scalar.p10, 1.0);
+            assert_eq!(chunk[0].speedup_vs_scalar.p90, 1.0);
         }
     }
 
@@ -1427,7 +1077,7 @@ mod tests {
         assert_eq!(rows.len(), 2);
         for r in &rows {
             assert_eq!(r.iterations, 200);
-            assert!(r.proposals_per_sec > 0.0, "{}", r.name);
+            assert!(r.proposals_per_sec.median > 0.0, "{}", r.name);
             assert!(
                 (0.0..=1.0).contains(&r.acceptance_rate),
                 "{}: acceptance {}",
@@ -1452,50 +1102,10 @@ mod tests {
             assert!(r.bit_identical, "{}: batch threads changed results", r.name);
             assert_eq!(r.queries, 16);
             assert!(r.particles_per_query >= 100);
-            assert!(r.seq_queries_per_sec > 0.0);
-            assert!(r.par_queries_per_sec > 0.0);
-            assert!(r.speedup.is_finite() && r.speedup > 0.0);
+            assert!(r.seq_queries_per_sec.median > 0.0);
+            assert!(r.par_queries_per_sec.median > 0.0);
+            assert!(r.speedup.median.is_finite() && r.speedup.median > 0.0);
         }
-    }
-
-    #[test]
-    fn http_rows_serve_cold_and_warm_over_loopback() {
-        let config = ThroughputConfig {
-            particles: 3_200,
-            threads: 2,
-            block: DEFAULT_BLOCK,
-            seed: 5,
-        };
-        let rows = http_rows(&config);
-        assert_eq!(rows.len(), 1);
-        let r = &rows[0];
-        assert!(r.ok, "a response failed or a warm body diverged");
-        assert_eq!(r.requests, 32);
-        assert!(r.cold_requests_per_sec > 0.0);
-        assert!(r.warm_requests_per_sec > 0.0);
-        // One full miss pass then one full hit pass.
-        assert!(
-            (r.cache_hit_rate - 0.5).abs() < 1e-9,
-            "{}",
-            r.cache_hit_rate
-        );
-    }
-
-    #[test]
-    fn admission_rows_measure_the_pipeline_and_verify_bit_identity() {
-        let config = ThroughputConfig {
-            particles: 200,
-            threads: 2,
-            block: DEFAULT_BLOCK,
-            seed: 17,
-        };
-        let rows = admission_rows(&config);
-        assert_eq!(rows.len(), 1);
-        let r = &rows[0];
-        assert!(r.ok, "submission or query failed, or the body diverged");
-        assert_eq!(r.compiles, 32);
-        assert!(r.compiles_per_sec > 0.0);
-        assert!(r.submit_to_first_query_seconds > 0.0);
     }
 
     #[test]
@@ -1512,14 +1122,19 @@ mod tests {
         let r = &rows[0];
         assert!(
             r.ok,
-            "a warm body diverged from the cold one, or the warm pass ran fit executions"
+            "a body diverged from the first cold one, or a warm query ran fit executions"
         );
         assert_eq!(r.artifacts, 1);
         assert!(r.store_bytes > 0);
-        assert_eq!(r.warm_starts, r.requests as u64);
+        // One warm start per warm query: the warm-up's and each trial's.
+        assert_eq!(r.warm_starts, r.amortization.n as u64 + 1);
         // The wall-clock ratio is load-dependent, so the test only demands
         // amortization > 1; the recorded BENCH row carries the real factor.
-        assert!(r.amortization > 1.0, "amortization {}", r.amortization);
+        assert!(
+            r.amortization.median > 1.0,
+            "amortization {}",
+            r.amortization
+        );
     }
 
     #[test]
@@ -1539,6 +1154,7 @@ mod tests {
         assert!(r.retry_after_ok, "a 429 was missing Retry-After");
         assert!(r.post_storm_identical, "post-storm bytes diverged");
         assert!(r.accepted >= 1, "nothing was accepted");
+        assert_eq!(r.accepted_ms.n, r.accepted);
         // One worker and a one-slot queue against 8 concurrent clients:
         // the storm must actually shed, or the bench measures nothing.
         assert!(r.shed >= 1, "the storm never overflowed the queue");
@@ -1553,83 +1169,68 @@ mod tests {
             block: DEFAULT_BLOCK,
             seed: 3,
         };
-        let rows = throughput_rows(&config);
-        let blocks = block_rows(&config);
-        let engines = engine_timings(&config);
-        assert_eq!(engines.len(), 3);
-        let serving = serving_rows(&config);
-        let mcmc = mcmc_rows(&config);
-        let http = http_rows(&config);
-        let admission = admission_rows(&config);
-        let amortization = amortization_rows(&config);
-        let overload = overload_rows(&config);
-        let observability = observability_rows(&config);
-        let json = bench_json(
-            &config,
-            &rows,
-            &blocks,
-            &engines,
-            &serving,
-            &mcmc,
-            &http,
-            &admission,
-            &amortization,
-            &overload,
-            &observability,
-        );
-        // Structural sanity without a JSON parser: balanced braces/brackets
-        // and the keys CI greps for.
+        let report = Report::run(&config);
+        assert!(report.ok(), "a determinism or contract check failed");
+        let text = report.json().write().expect("non-finite numbers are null");
+        let doc = Json::parse(&text).expect("the report parses");
+        let section = |key: &str| -> &[Json] {
+            let rows = doc.get(key).and_then(Json::as_arr);
+            let rows = rows.unwrap_or_else(|| panic!("no {key} array in {text}"));
+            assert!(!rows.is_empty(), "empty {key} section");
+            rows
+        };
+        let field = |row: &Json, key: &str| -> Json {
+            row.get(key)
+                .unwrap_or_else(|| panic!("missing {key} in {row:?}"))
+                .clone()
+        };
+        let number = |row: &Json, key: &str| -> f64 {
+            let value = field(row, key).as_f64();
+            value.unwrap_or_else(|| panic!("{key} is not a number in {row:?}"))
+        };
         assert_eq!(
-            json.matches('{').count(),
-            json.matches('}').count(),
-            "unbalanced braces"
+            doc.get("schema").and_then(Json::as_str),
+            Some("ppl-bench/inference/v9")
         );
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
-        for key in [
-            "\"schema\": \"ppl-bench/inference/v8\"",
-            "\"amortization\"",
-            "\"overload\"",
-            "\"observability\"",
-            "\"tracing_on_overhead_pct\"",
-            "\"off_requests_per_sec\"",
-            "\"on_requests_per_sec\"",
-            "\"shed_rate\"",
-            "\"accepted_p99_ms\"",
-            "\"retry_after_ok\": true",
-            "\"post_storm_identical\": true",
-            "\"errors_5xx\": 0",
-            "\"warm_queries_per_sec\"",
-            "\"store\"",
-            "\"warm_starts\"",
-            "\"host_cpus\"",
-            "\"block\": 64",
-            "\"blocks\"",
-            "\"speedup_vs_scalar\"",
-            "\"throughput\"",
-            "\"serving\"",
-            "\"mcmc\"",
-            "\"http\"",
-            "\"cold_requests_per_sec\"",
-            "\"warm_requests_per_sec\"",
-            "\"cache_hit_rate\"",
-            "\"ok\": true",
-            "\"admission\"",
-            "\"compiles_per_sec\"",
-            "\"submit_to_first_query_seconds\"",
-            "\"engines\"",
-            "\"par_particles_per_sec\"",
-            "\"par_queries_per_sec\"",
-            "\"speedup\"",
-            "\"bit_identical\": true",
-            "\"allocs_per_particle\"",
-            "\"proposals_per_sec\"",
-            "\"allocs_per_proposal\"",
-            "\"engine\": \"IS\"",
-            "\"engine\": \"VI\"",
-            "\"engine\": \"MCMC\"",
-        ] {
-            assert!(json.contains(key), "missing {key} in {json}");
+
+        // What the bench-regress job reads.
+        for row in section("throughput") {
+            assert!(number(row, "seq_particles_per_sec") > 0.0);
+            assert_eq!(field(row, "bit_identical"), Json::Bool(true));
+            // The lib test binary does not install the counting allocator:
+            // the NaN it reports is written as null.
+            assert_eq!(field(row, "allocs_per_particle"), Json::Null);
         }
-        assert!(!json.contains("NaN"));
+        // What the overload-contract check reads.
+        for row in section("overload") {
+            field(row, "name").as_str().expect("a name");
+            for key in ["accepted", "shed", "errors_5xx", "connect_errors"] {
+                field(row, key).as_u64().expect("a count");
+            }
+            number(row, "shed_rate");
+            number(row, "accepted_p99_ms");
+            assert_eq!(field(row, "errors_5xx"), Json::Num(0.0));
+            assert_eq!(field(row, "retry_after_ok"), Json::Bool(true));
+            assert_eq!(field(row, "post_storm_identical"), Json::Bool(true));
+        }
+        // What the tracing-overhead check reads.
+        for row in section("observability") {
+            field(row, "name").as_str().expect("a name");
+            number(row, "off_requests_per_sec");
+            number(row, "on_requests_per_sec");
+            let overhead = number(row, "tracing_on_overhead_pct");
+            let (p10, p90) = (
+                number(row, "tracing_on_overhead_pct_p10"),
+                number(row, "tracing_on_overhead_pct_p90"),
+            );
+            assert!(p10 <= overhead && overhead <= p90);
+            assert!(field(row, "trials").as_u64().expect("a count") >= 5);
+            assert_eq!(field(row, "ok"), Json::Bool(true));
+        }
+        for key in ["blocks", "mcmc", "serving", "amortization"] {
+            for row in section(key) {
+                assert!(field(row, "trials").as_u64().expect("a count") >= 5);
+            }
+        }
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! The compiler's role in the paper's evaluation is twofold: the generated
 //! code runs on Pyro's inference engines (here *substituted* by the native
-//! Rust engines in `ppl-inference`, see `DESIGN.md`), and its size and
+//! Rust engines in `ppl-inference`), and its size and
 //! generation time appear in Table 2 as GLOC and part of CG.
 //!
 //! # Example

@@ -15,7 +15,7 @@
 //! (central finite differences).  Parameters declared positive are
 //! optimised in log space.  The optimiser is Adam.
 //!
-//! *Substitution note* (see `DESIGN.md`): the paper delegates optimisation
+//! *Substitution note*: the paper delegates optimisation
 //! to Pyro's SVI/autograd; the estimator here exercises the same joint
 //! coroutine executions and the same absolute-continuity requirement.
 

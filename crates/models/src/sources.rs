@@ -271,8 +271,8 @@ proc WeightGuide(mu : real, sigma : preal) provide latent {
 "#;
 
 /// A small variational autoencoder (`vae`): a two-dimensional latent code
-/// with a fixed linear decoder over four observed dimensions (the tensor
-/// version of the paper's benchmark, unrolled to scalars — see DESIGN.md).
+/// with a fixed linear decoder over four observed dimensions (the paper's
+/// benchmark works on tensors; this version unrolls them to scalars).
 pub const VAE_MODEL: &str = r#"
 proc Vae() consume latent provide obs {
   let z1 <- sample recv latent (Normal(0.0, 1.0));
@@ -382,7 +382,8 @@ proc PcfgGenGuide() provide latent {
 
 /// Gaussian-process kernel DSL (`gp-dsl`): a PCFG over kernel structures
 /// whose evaluated amplitude is observed (the paper's benchmark uses the
-/// DSL of Saad et al. 2019; see DESIGN.md for the simplification).
+/// DSL of Saad et al. 2019; this version's grammar has only leaf scales
+/// and sums, and it observes the amplitude rather than GP data).
 pub const GP_DSL_MODEL: &str = r#"
 proc GpDsl() : real consume latent provide obs {
   let amp <- call GpKernel();
