@@ -380,12 +380,6 @@ pub fn fig2_series(num_particles: usize, bins: usize, seed: u64) -> Vec<Fig2Poin
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::{Mutex, PoisonError};
-
-    /// Held by every test that runs VI fits: `amortization_rows` proves its
-    /// warm queries ran no fit by the process-global fit counter, so a fit
-    /// in a concurrently running test must not land inside that window.
-    pub(crate) static VI_FITS: Mutex<()> = Mutex::new(());
 
     #[test]
     fn table1_reproduces_the_paper_verdicts() {
@@ -430,7 +424,6 @@ mod tests {
 
     #[test]
     fn table2_small_workload_produces_consistent_estimates() {
-        let _fits = VI_FITS.lock().unwrap_or_else(PoisonError::into_inner);
         // Since the engine refactor the coroutine path draws from
         // per-particle RNG substreams, so the two estimates are fully
         // independent Monte-Carlo runs; the particle count keeps their

@@ -680,17 +680,16 @@ pub struct AmortizationRow {
     pub warm_starts: u64,
     /// Every response was a 200, every cold and warm body was
     /// byte-identical to the first cold one, and no warm query ran a VI
-    /// fit execution (verified against `ppl_inference::counters` around
-    /// each warm query alone).
+    /// fit execution (verified against the serving app's own ledger,
+    /// `App::vi_fit_executions`, around each warm query alone).
     pub ok: bool,
 }
 
 /// Measures amortized inference over loopback HTTP: one `POST /v1/fit`,
 /// then cold VI queries (fit + draw) interleaved with artifact-warm
 /// queries, with byte-identity and the zero-fit-executions invariant
-/// re-verified per request.
+/// re-verified per request against the serving app's own ledger.
 pub fn amortization_rows(config: &ThroughputConfig) -> Vec<AmortizationRow> {
-    use ppl_inference::counters::vi_fit_executions;
     use ppl_serve::http::ClientConn;
     use ppl_serve::{App, Registry, Server};
     use ppl_store::Store;
@@ -741,13 +740,13 @@ pub fn amortization_rows(config: &ThroughputConfig) -> Vec<AmortizationRow> {
                 .expect("cold query");
             ok &= status == 200 && *reference.get_or_insert_with(|| body.clone()) == body;
         } else {
-            // The loopback server runs in-process, so the counter covers
-            // it: the warm query must not schedule a single VI fit.
-            let fits_before = vi_fit_executions();
+            // The in-process app's ledger: the warm query must not
+            // schedule a single VI fit.
+            let fits_before = app.vi_fit_executions();
             let (status, _, body) = conn
                 .send("POST", "/v1/query", Some(&warm_body))
                 .expect("warm query");
-            ok &= vi_fit_executions() == fits_before;
+            ok &= app.vi_fit_executions() == fits_before;
             ok &= status == 200 && reference.as_ref() == Some(&body);
         }
     });
@@ -1012,8 +1011,6 @@ impl ObservabilityRow {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tests::VI_FITS;
-    use std::sync::PoisonError;
 
     #[test]
     fn throughput_rows_are_bit_identical_across_thread_counts() {
@@ -1110,7 +1107,6 @@ mod tests {
 
     #[test]
     fn amortization_rows_reuse_the_fit_with_byte_identity() {
-        let _fits = VI_FITS.lock().unwrap_or_else(PoisonError::into_inner);
         let config = ThroughputConfig {
             particles: 200,
             threads: 2,
@@ -1162,7 +1158,6 @@ mod tests {
 
     #[test]
     fn bench_json_is_well_formed() {
-        let _fits = VI_FITS.lock().unwrap_or_else(PoisonError::into_inner);
         let config = ThroughputConfig {
             particles: 200,
             threads: 2,

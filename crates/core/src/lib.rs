@@ -61,11 +61,7 @@
 
 pub mod query;
 
-use ppl_dist::rng::Pcg32;
 use ppl_dist::Sample;
-use ppl_inference::{
-    ImportanceResult, McmcResult, ParamSpec, VariationalInference, ViConfig, ViResult,
-};
 use ppl_runtime::{JointExecutor, JointSpec, RuntimeError};
 use ppl_syntax::{parse_program, Ident, ParseError, Program};
 use ppl_types::{check_model_guide, infer_program, Compatibility, TypeEnv, TypeError};
@@ -244,10 +240,28 @@ impl Session {
         guide: Program,
         guide_proc: &str,
     ) -> Result<Session, SessionError> {
-        let model_proc: Ident = model_proc.into();
-        let guide_proc: Ident = guide_proc.into();
         let model_env = infer_program(&model)?;
         let guide_env = infer_program(&guide)?;
+        Session::from_inferred(model, model_proc, model_env, guide, guide_proc, guide_env)
+    }
+
+    /// [`Session::from_programs`] for a caller that already ran
+    /// [`infer_program`] on each program (admission does, so a type error
+    /// names its program): `model_env` and `guide_env` are those results.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Session::from_programs`], minus guide-type inference.
+    pub fn from_inferred(
+        model: Program,
+        model_proc: &str,
+        model_env: TypeEnv,
+        guide: Program,
+        guide_proc: &str,
+        guide_env: TypeEnv,
+    ) -> Result<Session, SessionError> {
+        let model_proc: Ident = model_proc.into();
+        let guide_proc: Ident = guide_proc.into();
         let compatibility = check_model_guide(&model_env, &model_proc, &guide_env, &guide_proc)?;
         if !compatibility.compatible {
             return Err(SessionError::Incompatible {
@@ -365,76 +379,6 @@ impl Session {
         }
     }
 
-    /// Runs importance sampling with `num_particles` particles.
-    ///
-    /// # Errors
-    ///
-    /// Propagates runtime errors from the joint executor.
-    #[deprecated(
-        note = "use `session.query().observe(..).run(&Method::Importance { .. })`, which validates observations up front"
-    )]
-    pub fn importance_sampling(
-        &self,
-        observations: Vec<Sample>,
-        num_particles: usize,
-        rng: &mut Pcg32,
-    ) -> Result<ImportanceResult, SessionError> {
-        let executor = self.executor(observations);
-        let method = Method::Importance {
-            particles: num_particles,
-        };
-        match query::run_with_rng(&executor, &self.spec(), &method, 1, rng)? {
-            PosteriorResult::Importance(r) => Ok(r),
-            _ => unreachable!("importance sampling produces an importance posterior"),
-        }
-    }
-
-    /// Runs independence Metropolis–Hastings.
-    ///
-    /// # Errors
-    ///
-    /// Propagates runtime errors from the joint executor.
-    #[deprecated(
-        note = "use `session.query().observe(..).run(&Method::Mh { .. })`, which validates observations up front"
-    )]
-    pub fn metropolis_hastings(
-        &self,
-        observations: Vec<Sample>,
-        iterations: usize,
-        burn_in: usize,
-        rng: &mut Pcg32,
-    ) -> Result<McmcResult, SessionError> {
-        let executor = self.executor(observations);
-        let method = Method::Mh {
-            iterations,
-            burn_in,
-        };
-        match query::run_with_rng(&executor, &self.spec(), &method, 1, rng)? {
-            PosteriorResult::Mcmc(r) => Ok(r),
-            _ => unreachable!("MH produces an MCMC posterior"),
-        }
-    }
-
-    /// Runs variational inference over the given parameters, returning the
-    /// bare fit (no posterior draws).
-    ///
-    /// # Errors
-    ///
-    /// Propagates runtime errors from the joint executor.
-    #[deprecated(
-        note = "use `session.query().observe(..).run(&Method::Vi { .. })`, which validates observations up front and returns a `Posterior`"
-    )]
-    pub fn variational_inference(
-        &self,
-        observations: Vec<Sample>,
-        params: &[ParamSpec],
-        config: ViConfig,
-        rng: &mut Pcg32,
-    ) -> Result<ViResult, SessionError> {
-        let executor = self.executor(observations);
-        Ok(VariationalInference::new(config).run(&executor, &self.spec(), params, rng)?)
-    }
-
     /// Compiles the pair to Pyro source text.
     pub fn compile_to_pyro(&self, style: Style) -> CompiledPair {
         compile_pair(
@@ -549,39 +493,6 @@ mod tests {
         let e = Session::from_benchmark("unknown").unwrap_err();
         assert_eq!(e, SessionError::UnknownBenchmark("unknown".into()));
         assert!(e.to_string().contains("unknown benchmark"));
-    }
-
-    // The shortcut methods are deprecated in favour of the query layer but
-    // must keep working (and agreeing with it) until removed.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_session_shortcuts_still_work() {
-        let s = Session::from_sources(MODEL, "Model", GUIDE, "Guide").unwrap();
-        let mut rng = Pcg32::seed_from_u64(5);
-        let is = s
-            .importance_sampling(vec![Sample::Real(1.0)], 3_000, &mut rng)
-            .unwrap();
-        assert!((is.mean_of_sample(0).unwrap() - 0.5).abs() < 0.15);
-        let mh = s
-            .metropolis_hastings(vec![Sample::Real(1.0)], 2_000, 200, &mut rng)
-            .unwrap();
-        assert!((mh.posterior_mean_of_sample(0).unwrap() - 0.5).abs() < 0.2);
-        // The wrapper and the query layer share one code path: with equal
-        // seeds their results are bit-identical.
-        let mut rng = Pcg32::seed_from_u64(9);
-        let wrapped = s
-            .importance_sampling(vec![Sample::Real(1.0)], 500, &mut rng)
-            .unwrap();
-        let queried = s
-            .query()
-            .observe(vec![Sample::Real(1.0)])
-            .seed(9)
-            .run(&Method::Importance { particles: 500 })
-            .unwrap();
-        assert_eq!(
-            wrapped.log_evidence.to_bits(),
-            queried.as_importance().unwrap().log_evidence.to_bits()
-        );
     }
 
     #[test]

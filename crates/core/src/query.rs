@@ -45,7 +45,7 @@ use ppl_inference::{
     Draw, Engine, ImportanceResult, ImportanceSampler, IndependenceMh, McmcResult, ParamSpec,
     Posterior, VariationalInference, ViConfig, ViPosterior, ViResult, DEFAULT_BLOCK,
 };
-use ppl_runtime::{CancelToken, JointExecutor, JointSpec, RunCounts};
+use ppl_runtime::{CancelToken, JointExecutor, JointSpec, RunCounts, RuntimeError};
 use ppl_semantics::value::Value;
 use ppl_store::{Artifact, ObsLit};
 use ppl_types::obs::{validate_observations, ObsValue, ObsViolation};
@@ -372,8 +372,9 @@ impl<'s> QueryBuilder<'s> {
     /// every particle block, MH proposal, and VI optimisation step; an
     /// expired or raised token aborts the run with
     /// [`SessionError::Runtime`] carrying
-    /// [`RuntimeError::DeadlineExceeded`](ppl_runtime::RuntimeError::DeadlineExceeded)
-    /// or [`RuntimeError::Cancelled`](ppl_runtime::RuntimeError::Cancelled).
+    /// [`RuntimeError::DeadlineExceeded`] or [`RuntimeError::Cancelled`].
+    /// Every run also records the executions it schedules into the token's
+    /// ledger, read through a clone ([`CancelToken::joint_executions`]).
     ///
     /// Like the thread count and block size, the token never changes a
     /// *successful* result: a run that completes before its deadline is
@@ -577,14 +578,29 @@ impl Query {
     pub fn run(&self, method: &Method) -> Result<PosteriorResult, SessionError> {
         self.check_method(method)?;
         let mut rng = Pcg32::seed_from_u64(self.seed);
-        run_with_rng_block(
-            &self.executor,
-            &self.spec,
-            method,
-            self.threads,
-            self.block,
-            &mut rng,
-        )
+        Ok(match method {
+            Method::Importance { particles } => {
+                PosteriorResult::Importance(self.importance(&self.spec, *particles, &mut rng)?)
+            }
+            Method::Mh {
+                iterations,
+                burn_in,
+            } => PosteriorResult::Mcmc(IndependenceMh::new(*iterations, *burn_in).run(
+                &self.executor,
+                &self.spec,
+                &mut rng,
+            )?),
+            // `fit_vi`'s fit, then `run_vi_warm`'s draws, on one generator.
+            Method::Vi {
+                params,
+                config,
+                draw_particles,
+            } => {
+                let fit = self.fit(params, config, &mut rng)?;
+                let draws = self.draw_fitted(&fit.params, *draw_particles, &mut rng)?;
+                PosteriorResult::Vi(ViPosterior { fit, draws })
+            }
+        })
     }
 
     /// The underlying joint executor (advanced use: custom proposals such
@@ -625,10 +641,9 @@ impl Query {
     /// checkpointed as an [`Artifact`] and its draw pass replayed later by
     /// [`Query::run_vi_warm`] without refitting.
     ///
-    /// The fit is identical to the one [`Method::Vi`] runs: same
-    /// validation, same seeding, same `num_threads` promotion — so
-    /// `fit_vi` followed by `run_vi_warm` at the same seed is bit-identical
-    /// to one fresh `Method::Vi` run.
+    /// [`Method::Vi`] validates and seeds alike, then runs this fit and
+    /// `run_vi_warm`'s draw pass, so `fit_vi` then `run_vi_warm` at the
+    /// same seed is bit-identical to one fresh `Method::Vi` run.
     ///
     /// # Errors
     ///
@@ -641,11 +656,8 @@ impl Query {
             config: config.clone(),
             draw_particles: None,
         })?;
-        let mut config = config.clone();
-        config.num_threads = config.num_threads.max(self.threads);
         let mut rng = Pcg32::seed_from_u64(self.seed);
-        let result =
-            VariationalInference::new(config).run(&self.executor, &self.spec, params, &mut rng)?;
+        let result = self.fit(params, config, &mut rng)?;
         let (rng_state, rng_inc) = rng.state_parts();
         Ok(ViFit {
             result,
@@ -691,14 +703,7 @@ impl Query {
             .into());
         }
         let mut rng = Pcg32::from_state_parts(artifact.rng_state, artifact.rng_inc);
-        let fitted_spec = JointSpec {
-            guide_args: artifact.params.iter().map(|&p| Value::Real(p)).collect(),
-            ..self.spec.clone()
-        };
-        let draws = ImportanceSampler::new(draw_particles.unwrap_or(VI_POSTERIOR_PARTICLES))
-            .with_threads(self.threads)
-            .with_block(self.block)
-            .run(&self.executor, &fitted_spec, &mut rng)?;
+        let draws = self.draw_fitted(&artifact.params, draw_particles, &mut rng)?;
         let total = artifact.fit_iterations as usize;
         let mut elbo_trace = vec![f64::NAN; total.saturating_sub(artifact.elbo_tail.len())];
         elbo_trace.extend(artifact.elbo_tail.iter().copied());
@@ -709,6 +714,51 @@ impl Query {
             counts: RunCounts::default(),
         };
         Ok(PosteriorResult::Vi(ViPosterior { fit, draws }))
+    }
+
+    /// Importance sampling at the query's threads and block size.
+    fn importance(
+        &self,
+        spec: &JointSpec,
+        particles: usize,
+        rng: &mut Pcg32,
+    ) -> Result<ImportanceResult, RuntimeError> {
+        ImportanceSampler::new(particles)
+            .with_threads(self.threads)
+            .with_block(self.block)
+            .run(&self.executor, spec, rng)
+    }
+
+    /// The VI fit of [`Method::Vi`] and [`Query::fit_vi`], on at least the
+    /// query's thread count (threads never change results).
+    fn fit(
+        &self,
+        params: &[ParamSpec],
+        config: &ViConfig,
+        rng: &mut Pcg32,
+    ) -> Result<ViResult, RuntimeError> {
+        let mut config = config.clone();
+        config.num_threads = config.num_threads.max(self.threads);
+        VariationalInference::new(config).run(&self.executor, &self.spec, params, rng)
+    }
+
+    /// The draw pass of [`Method::Vi`] and [`Query::run_vi_warm`]: IS with
+    /// the guide at the fitted parameters `params`.
+    fn draw_fitted(
+        &self,
+        params: &[f64],
+        draw_particles: Option<usize>,
+        rng: &mut Pcg32,
+    ) -> Result<ImportanceResult, RuntimeError> {
+        let fitted_spec = JointSpec {
+            guide_args: params.iter().map(|&p| Value::Real(p)).collect(),
+            ..self.spec.clone()
+        };
+        self.importance(
+            &fitted_spec,
+            draw_particles.unwrap_or(VI_POSTERIOR_PARTICLES),
+            rng,
+        )
     }
 
     fn check_method(&self, method: &Method) -> Result<(), QueryError> {
@@ -767,68 +817,6 @@ impl Query {
                 }
                 check_guide_args(params.len())
             }
-        }
-    }
-}
-
-/// Runs `method` on an executor/spec pair with a caller-positioned RNG —
-/// the single code path behind [`Query::run`] and the deprecated
-/// rng-threading `Session` shortcuts (which keep the default block size).
-pub(crate) fn run_with_rng(
-    executor: &JointExecutor,
-    spec: &JointSpec,
-    method: &Method,
-    threads: usize,
-    rng: &mut Pcg32,
-) -> Result<PosteriorResult, SessionError> {
-    run_with_rng_block(executor, spec, method, threads, DEFAULT_BLOCK, rng)
-}
-
-/// [`run_with_rng`] with an explicit vectorised-execution block size for
-/// the particle-sweep stages (VI keeps its own [`ViConfig::block`]).
-pub(crate) fn run_with_rng_block(
-    executor: &JointExecutor,
-    spec: &JointSpec,
-    method: &Method,
-    threads: usize,
-    block: usize,
-    rng: &mut Pcg32,
-) -> Result<PosteriorResult, SessionError> {
-    match method {
-        Method::Importance { particles } => Ok(PosteriorResult::Importance(
-            ImportanceSampler::new(*particles)
-                .with_threads(threads)
-                .with_block(block)
-                .run(executor, spec, rng)?,
-        )),
-        Method::Mh {
-            iterations,
-            burn_in,
-        } => Ok(PosteriorResult::Mcmc(
-            IndependenceMh::new(*iterations, *burn_in).run(executor, spec, rng)?,
-        )),
-        Method::Vi {
-            params,
-            config,
-            draw_particles,
-        } => {
-            // The query's thread count drives every stage; an explicit
-            // `ViConfig::num_threads` larger than it is respected.  (Either
-            // choice is bit-identical — threads never change results.)
-            let mut config = config.clone();
-            config.num_threads = config.num_threads.max(threads);
-            let fit = VariationalInference::new(config).run(executor, spec, params, rng)?;
-            // Turn the fit into a posterior: draw weighted particles from
-            // the guide at the fitted parameters.
-            let fitted_spec = JointSpec {
-                guide_args: fit.params.iter().map(|&p| Value::Real(p)).collect(),
-                ..spec.clone()
-            };
-            let draws = ImportanceSampler::new(draw_particles.unwrap_or(VI_POSTERIOR_PARTICLES))
-                .with_threads(threads)
-                .with_block(block)
-                .run(executor, &fitted_spec, rng)?;
-            Ok(PosteriorResult::Vi(ViPosterior { fit, draws }))
         }
     }
 }

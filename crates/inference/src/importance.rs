@@ -202,7 +202,9 @@ impl ImportanceSampler {
         spec: &JointSpec,
         rng: &mut Pcg32,
     ) -> Result<ImportanceResult, RuntimeError> {
-        crate::counters::record_joint_executions(self.num_particles);
+        executor
+            .cancel_token()
+            .record_joint_executions(self.num_particles);
         let engine = Engine::new(self.num_threads);
         let (particles, counts) = engine.run_particle_blocks_with(
             self.num_particles,

@@ -14,10 +14,11 @@
 //!   estimator and Adam (VI);
 //! * [`posterior`] — the unified [`Posterior`] trait and
 //!   [`PosteriorSummary`] statistics shared by all three engines, so their
-//!   results are interchangeable behind one interface;
-//! * [`counters`] — process-wide counters of scheduled joint executions,
-//!   so callers (e.g. the serving layer's cache tests) can prove an
-//!   operation ran zero inference.
+//!   results are interchangeable behind one interface.
+//!
+//! Each run records the joint (and VI fit) executions it schedules into
+//! the executor's [`CancelToken`](ppl_runtime::CancelToken) ledger, which
+//! the token's owner reads to prove an operation of its own ran none.
 //!
 //! # Example
 //!
@@ -49,7 +50,6 @@
 //! # Ok::<(), ppl_runtime::RuntimeError>(())
 //! ```
 
-pub mod counters;
 pub mod diag;
 pub mod engine;
 pub mod importance;

@@ -93,7 +93,9 @@ impl IndependenceMh {
         spec: &JointSpec,
         rng: &mut Pcg32,
     ) -> Result<McmcResult, RuntimeError> {
-        crate::counters::record_joint_executions(self.iterations);
+        executor
+            .cancel_token()
+            .record_joint_executions(self.iterations);
         let mut chain = Vec::new();
         let mut accepted = 0usize;
         let mut proposals = 0usize;
@@ -193,7 +195,9 @@ impl<'f> GuidedMh<'f> {
         spec: &JointSpec,
         rng: &mut Pcg32,
     ) -> Result<McmcResult, RuntimeError> {
-        crate::counters::record_joint_executions(self.iterations);
+        executor
+            .cancel_token()
+            .record_joint_executions(self.iterations);
         let mut chain = Vec::new();
         let mut accepted = 0usize;
         let mut proposals = 0usize;

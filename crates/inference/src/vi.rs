@@ -196,12 +196,10 @@ impl VariationalInference {
             .iter()
             .map(|p| if p.positive { p.init.ln() } else { p.init })
             .collect();
-        crate::counters::record_joint_executions(
-            self.config.iterations * self.config.samples_per_iteration,
-        );
-        crate::counters::record_vi_fit_executions(
-            self.config.iterations * self.config.samples_per_iteration,
-        );
+        let fit_executions = self.config.iterations * self.config.samples_per_iteration;
+        let ledger = executor.cancel_token();
+        ledger.record_joint_executions(fit_executions);
+        ledger.record_vi_fit_executions(fit_executions);
         let mut adam = Adam::new(dim, self.config.learning_rate);
         let mut elbo_trace = Vec::with_capacity(self.config.iterations);
         let mut counts = RunCounts::default();

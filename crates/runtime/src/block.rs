@@ -2226,7 +2226,7 @@ impl Runner<'_, '_> {
     /// is armed.
     fn poll(&self) -> Result<(), RunBail> {
         #[cfg(feature = "faults")]
-        crate::faults::maybe_stall_op();
+        self.exec.cancel.stall_op();
         self.exec.cancel.check().map_err(|_| RunBail::Block)
     }
 

@@ -50,8 +50,6 @@
 pub(crate) mod block;
 pub mod cancel;
 pub mod coroutine;
-#[cfg(feature = "faults")]
-pub mod faults;
 pub mod joint;
 pub mod program;
 

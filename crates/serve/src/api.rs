@@ -136,7 +136,8 @@ pub struct App {
     /// phases land in the same traces.
     pub obs: Arc<ppl_obs::Recorder>,
     /// The server-wide drain token: every request token derives from it,
-    /// so [`App::begin_drain`] cancels all in-flight inference at once.
+    /// so [`App::begin_drain`] cancels all in-flight inference at once and
+    /// every run records into its ledger.
     drain: CancelToken,
     /// `/v1/query` + `/v1/batch` requests currently running inference.
     pub(crate) inflight_query: AtomicUsize,
@@ -210,6 +211,16 @@ impl App {
     /// Whether [`App::begin_drain`] has been called.
     pub fn is_draining(&self) -> bool {
         self.drain.is_cancelled()
+    }
+
+    /// Joint executions scheduled for this app's requests (its drain token's ledger).
+    pub fn joint_executions(&self) -> u64 {
+        self.drain.joint_executions()
+    }
+
+    /// VI fit executions scheduled for this app's requests.
+    pub fn vi_fit_executions(&self) -> u64 {
+        self.drain.vi_fit_executions()
     }
 
     /// Builds the cancel token for one request: the server drain flag plus
@@ -452,14 +463,14 @@ fn route(app: &Arc<App>, req: &Request) -> Response {
         match req.path.as_str() {
             // Exercises the catch_unwind backstop in `handler`.
             "/v1/_faults/panic" => panic!("injected handler panic"),
-            // Stalls every vectorised op by `micros`, forcing deadline
-            // expiry mid-block.
+            // Stalls every vectorised op of this app's runs by `micros`,
+            // forcing deadline expiry mid-block.
             "/v1/_faults/stall" => {
                 let micros = parse_body(req)
                     .ok()
                     .and_then(|doc| doc.get("micros").and_then(Json::as_u64))
                     .unwrap_or(0);
-                ppl_runtime::faults::set_op_stall_micros(micros);
+                app.drain.set_op_stall_micros(micros);
                 return Response::json(200, "{\"ok\":true}".to_string());
             }
             _ => {}

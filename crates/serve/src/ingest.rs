@@ -123,18 +123,24 @@ pub fn submit(app: &Arc<App>, req: &Request) -> Result<Response, ApiError> {
         return Ok(submit_response(200, &existing, artifacts, false));
     }
 
-    // Guide-type inference per program first, so a type error names which
-    // source it came from; the session build below re-uses the same
-    // algorithms and cannot fail earlier than these did.
-    infer_program(&model_prog).map_err(|e| type_error(Some("model"), e.into()))?;
-    infer_program(&guide_prog).map_err(|e| type_error(Some("guide"), e.into()))?;
+    // Guide-type inference per program, so a type error names which
+    // source it came from; the session takes both results as they are.
+    let model_env = infer_program(&model_prog).map_err(|e| type_error(Some("model"), e.into()))?;
+    let guide_env = infer_program(&guide_prog).map_err(|e| type_error(Some("guide"), e.into()))?;
 
     // The admission gate: model–guide compatibility (Theorem 5.2) plus
     // compilation to shared program tables.
     let session = {
         let _span = ppl_obs::Span::enter(ppl_obs::Phase::Compile);
-        Session::from_programs(model_prog, &model_proc, guide_prog, &guide_proc)
-            .map_err(|e| type_error(None, e))?
+        Session::from_inferred(
+            model_prog,
+            &model_proc,
+            model_env,
+            guide_prog,
+            &guide_proc,
+            guide_env,
+        )
+        .map_err(|e| type_error(None, e))?
     };
 
     let entry = ModelEntry {

@@ -16,11 +16,13 @@
 //!   (`artifact.not_found`, `artifact.model_mismatch`), and `/v1/batch`
 //!   rejects artifact requests outright.
 //!
-//! Everything lives in one `#[test]` because the proofs delta the
-//! process-wide `ppl_inference::counters`.
+//! Every fit count is read from the serving app's own execution ledger
+//! (`App::vi_fit_executions`) while a neighbour app in the same process
+//! runs VI fits throughout the proof.
 
-use ppl_inference::counters;
-use ppl_serve::http::ClientConn;
+mod common;
+
+use ppl_serve::http::{ClientConn, ClientResponse};
 use ppl_serve::{App, Json, Registry, Server};
 use ppl_store::Store;
 use std::path::Path;
@@ -32,6 +34,21 @@ fn boot(dir: &Path) -> (Arc<App>, Server) {
     let app = App::with_store(registry, 64, ppl_inference::DEFAULT_BLOCK, store);
     let server = Server::bind("127.0.0.1:0", 2, app.handler()).expect("bind port 0");
     (app, server)
+}
+
+/// Sends one request and returns its response with the VI fit executions
+/// `app` scheduled from just before the send until `overlap()` returned.
+fn counting_fits(
+    app: &App,
+    conn: &mut ClientConn,
+    path: &str,
+    body: &str,
+    overlap: &dyn Fn(),
+) -> (ClientResponse, u64) {
+    let before = app.vi_fit_executions();
+    let response = conn.send("POST", path, Some(body)).unwrap();
+    overlap();
+    (response, app.vi_fit_executions() - before)
 }
 
 fn parse(body: &[u8]) -> Json {
@@ -59,9 +76,30 @@ fn artifacts_amortize_fits_across_queries_and_restarts() {
 
     let (app, server) = boot(&dir);
     let mut conn = ClientConn::connect(server.local_addr()).unwrap();
+    // The fresh VI query (fit + draw in one request), for the byte oracle.
+    let fresh_query = r#"{"model":"weight","observations":[9.0,9.0],"seed":11,
+        "method":{"algorithm":"vi","iterations":30,"samples_per_iteration":4,
+                  "learning_rate":0.08,"draw_particles":200}}"#;
+    let warm_query =
+        |id: &str| format!(r#"{{"model":"weight","artifact":"{id}","draw_particles":200}}"#);
 
-    // Fit: 201 with a content-addressed id and the fitted parameters.
-    let (status, _, response) = conn.send("POST", "/v1/fit", Some(FIT_BODY)).unwrap();
+    let (fit, refit, fresh, warm) = common::beside_a_neighbour(|overlap| {
+        let fit = counting_fits(&app, &mut conn, "/v1/fit", FIT_BODY, overlap);
+        let refit = counting_fits(&app, &mut conn, "/v1/fit", FIT_BODY, overlap);
+        let fresh = counting_fits(&app, &mut conn, "/v1/query", fresh_query, overlap);
+        let ((_, _, fit_body), _) = &fit;
+        let id = parse(fit_body)
+            .get("id")
+            .and_then(Json::as_str)
+            .unwrap_or_default()
+            .to_string();
+        let warm = counting_fits(&app, &mut conn, "/v1/query", &warm_query(&id), overlap);
+        (fit, refit, fresh, warm)
+    });
+
+    // Fit: 201 with a content-addressed id and the fitted parameters,
+    // its 30 × 4 mini-batch executions recorded in this app's ledger.
+    let ((status, _, response), fits) = fit;
     assert_eq!(status, 201, "{}", String::from_utf8_lossy(&response));
     let parsed = parse(&response);
     let id = parsed.get("id").unwrap().as_str().unwrap().to_string();
@@ -69,37 +107,28 @@ fn artifacts_amortize_fits_across_queries_and_restarts() {
     assert_eq!(parsed.get("created").unwrap().as_bool(), Some(true));
     assert_eq!(parsed.get("model").unwrap().as_str(), Some("weight"));
     assert_eq!(parsed.get("fit_iterations").unwrap().as_f64(), Some(30.0));
+    assert_eq!(fits, 120, "the first fit runs every mini-batch");
 
     // Idempotent re-fit: 200, same id, zero additional fit executions.
-    let fit_before = counters::vi_fit_executions();
-    let (status, _, response) = conn.send("POST", "/v1/fit", Some(FIT_BODY)).unwrap();
+    let ((status, _, response), fits) = refit;
     assert_eq!(status, 200, "{}", String::from_utf8_lossy(&response));
     let parsed = parse(&response);
     assert_eq!(parsed.get("id").unwrap().as_str(), Some(id.as_str()));
     assert_eq!(parsed.get("created").unwrap().as_bool(), Some(false));
     assert_eq!(
-        counters::vi_fit_executions() - fit_before,
-        0,
+        fits, 0,
         "re-fitting an identical request must reuse the stored artifact"
     );
 
-    // The fresh VI query (fit + draw in one request), for the byte oracle.
-    let fresh_query = r#"{"model":"weight","observations":[9.0,9.0],"seed":11,
-        "method":{"algorithm":"vi","iterations":30,"samples_per_iteration":4,
-                  "learning_rate":0.08,"draw_particles":200}}"#;
-    let (status, _, fresh) = conn.send("POST", "/v1/query", Some(fresh_query)).unwrap();
+    let ((status, _, fresh), fits) = fresh;
     assert_eq!(status, 200, "{}", String::from_utf8_lossy(&fresh));
+    assert_eq!(fits, 120, "the fresh VI query fits from scratch");
 
     // Warm query by artifact id: byte-identical, zero fit executions.
-    let warm_query = format!(r#"{{"model":"weight","artifact":"{id}","draw_particles":200}}"#);
-    let fit_before = counters::vi_fit_executions();
-    let (status, headers, warm) = conn.send("POST", "/v1/query", Some(&warm_query)).unwrap();
+    let warm_query = warm_query(&id);
+    let ((status, headers, warm), fits) = warm;
     assert_eq!(status, 200, "{}", String::from_utf8_lossy(&warm));
-    assert_eq!(
-        counters::vi_fit_executions() - fit_before,
-        0,
-        "artifact query must run zero VI fit executions"
-    );
+    assert_eq!(fits, 0, "artifact query must run zero VI fit executions");
     assert_eq!(
         String::from_utf8(warm.clone()).unwrap(),
         String::from_utf8(fresh.clone()).unwrap(),
@@ -176,19 +205,22 @@ fn artifacts_amortize_fits_across_queries_and_restarts() {
     assert_eq!(status, 404);
     assert_eq!(error_code(&response), "artifact.not_found");
 
+    // Close the keep-alive connection first, or `shutdown` waits out the
+    // worker's read timeout.
+    drop(conn);
     server.shutdown();
     drop(app);
 
     // Restart: a fresh App over the same directory warm-starts its index
     // and serves the same bytes with zero refits.
-    let (_app2, server2) = boot(&dir);
+    let (app2, server2) = boot(&dir);
     let mut conn = ClientConn::connect(server2.local_addr()).unwrap();
-    let fit_before = counters::vi_fit_executions();
-    let (status, _, warm2) = conn.send("POST", "/v1/query", Some(&warm_query)).unwrap();
+    let ((status, _, warm2), fits) = common::beside_a_neighbour(|overlap| {
+        counting_fits(&app2, &mut conn, "/v1/query", &warm_query, overlap)
+    });
     assert_eq!(status, 200, "{}", String::from_utf8_lossy(&warm2));
     assert_eq!(
-        counters::vi_fit_executions() - fit_before,
-        0,
+        fits, 0,
         "restarted server must serve artifact queries without refitting"
     );
     assert_eq!(
@@ -208,6 +240,7 @@ fn artifacts_amortize_fits_across_queries_and_restarts() {
     assert_eq!(status, 404);
     assert_eq!(error_code(&response), "artifact.not_found");
 
+    drop(conn);
     server2.shutdown();
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -43,12 +43,34 @@ fn header<'a>(headers: &'a [(String, String)], name: &str) -> Option<&'a str> {
         .map(|(_, v)| v.as_str())
 }
 
-/// A query slow enough (hundreds of ms even in release) that a short
-/// deadline always expires mid-run, but bounded well under the
-/// per-request execution budget.
+/// A query slow enough that a short deadline always expires mid-run, but
+/// bounded well under the per-request execution budget.
 const SLOW_QUERY: &str = r#"{"model":"normal-normal","observations":[1.0],
     "method":{"algorithm":"importance","particles":400000},"seed":9,
     "deadline_ms":5}"#;
+
+/// Polls `/metrics` until it reports one query running inference, so the
+/// caller's next request (or drain) lands while the slow query runs
+/// whatever the build profile's speed.  Panics after 10 s.
+fn await_inflight_query(conn: &mut ClientConn) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let (_, _, body) = conn.send("GET", "/metrics", None).unwrap();
+        let metrics = Json::parse(std::str::from_utf8(&body).unwrap()).unwrap();
+        let inflight = metrics
+            .get("server")
+            .and_then(|s| s.get("inflight_query"))
+            .and_then(Json::as_f64);
+        if inflight == Some(1.0) {
+            return;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "the slow query never started: inflight_query = {inflight:?}"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
 
 #[test]
 fn expired_deadline_is_a_fast_408_and_never_caches() {
@@ -166,9 +188,9 @@ fn per_endpoint_caps_shed_queries_without_touching_health() {
         let body = SLOW_QUERY.replace(",\n    \"deadline_ms\":5", "");
         conn.send("POST", "/v1/query", Some(&body)).unwrap().0
     });
-    std::thread::sleep(Duration::from_millis(150));
-
     let mut conn = ClientConn::connect(addr).unwrap();
+    await_inflight_query(&mut conn);
+
     let (status, headers, body) = conn
         .send(
             "POST",
@@ -197,6 +219,7 @@ fn per_endpoint_caps_shed_queries_without_touching_health() {
         Some(0.0),
         "slots leak"
     );
+    drop(conn); // or `shutdown` waits out the worker's read timeout
     server.shutdown();
 }
 
@@ -213,7 +236,7 @@ fn drain_rejects_new_work_and_cancels_in_flight_inference() {
         let body = SLOW_QUERY.replace(",\n    \"deadline_ms\":5", "");
         conn.send("POST", "/v1/query", Some(&body)).unwrap()
     });
-    std::thread::sleep(Duration::from_millis(150));
+    await_inflight_query(&mut ClientConn::connect(addr).unwrap());
 
     app.begin_drain();
 
@@ -243,6 +266,7 @@ fn drain_rejects_new_work_and_cancels_in_flight_inference() {
     let mut fresh = ClientConn::connect(addr).unwrap();
     assert_eq!(fresh.send("GET", "/healthz", None).unwrap().0, 200);
 
+    drop(fresh); // or `shutdown` waits out the worker's read timeout
     server.shutdown();
 }
 
@@ -287,15 +311,9 @@ fn slow_loris_client_is_disconnected_by_the_read_timeout() {
 #[cfg(feature = "faults")]
 mod faults {
     use super::*;
-    use std::sync::Mutex;
-
-    /// The runtime stall hook is process-global; serialise the tests that
-    /// touch it (or depend on it being zero).
-    static FAULT_LOCK: Mutex<()> = Mutex::new(());
 
     #[test]
     fn injected_panic_is_a_structured_500_and_counted() {
-        let _guard = FAULT_LOCK.lock().unwrap();
         let (app, server) = boot(4, 2);
         let mut conn = ClientConn::connect(server.local_addr()).unwrap();
 
@@ -322,37 +340,25 @@ mod faults {
 
     #[test]
     fn stalled_ops_force_mid_block_deadline_expiry() {
-        let _guard = FAULT_LOCK.lock().unwrap();
         let (app, server) = boot(4, 2);
         let mut conn = ClientConn::connect(server.local_addr()).unwrap();
 
-        // 2 ms per vectorised op: even one block of 64 particles now far
-        // outlives a 40 ms deadline, so expiry must be caught *inside* the
-        // block (the per-op poll), not only between blocks.
+        // 2 ms per vectorised op of this app's runs (the stall lives in its
+        // drain token, so no other app in the process slows down): even
+        // one block of 64 particles now far outlives a 40 ms deadline, so
+        // expiry must be caught *inside* the block (the per-op poll), not
+        // only between blocks.
         let (status, _, _) = conn
             .send("POST", "/v1/_faults/stall", Some("{\"micros\":2000}"))
             .unwrap();
         assert_eq!(status, 200);
 
+        let query = r#"{"model":"normal-normal","observations":[1.0],
+            "method":{"algorithm":"importance","particles":20000},
+            "seed":1,"deadline_ms":40}"#;
         let started = Instant::now();
-        let (status, _, body) = conn
-            .send(
-                "POST",
-                "/v1/query",
-                Some(
-                    r#"{"model":"normal-normal","observations":[1.0],
-                        "method":{"algorithm":"importance","particles":20000},
-                        "seed":1,"deadline_ms":40}"#,
-                ),
-            )
-            .unwrap();
+        let (status, _, body) = conn.send("POST", "/v1/query", Some(query)).unwrap();
         let elapsed = started.elapsed();
-
-        // Always reset the global stall before asserting.
-        let (reset, _, _) = conn
-            .send("POST", "/v1/_faults/stall", Some("{\"micros\":0}"))
-            .unwrap();
-        assert_eq!(reset, 200);
 
         assert_eq!(status, 408, "{}", String::from_utf8_lossy(&body));
         assert_eq!(error_code(&body), "query.deadline_exceeded");
@@ -360,6 +366,23 @@ mod faults {
         // mid-block expiry answers orders of magnitude sooner.
         assert!(elapsed < Duration::from_secs(5), "took {elapsed:?}");
         assert_eq!(app.cache.len(), 0);
+
+        // With this app's ops stalled 20 ms each, a second app in the same
+        // process runs the same query inside a 5 s deadline that a stalled
+        // run (313 blocks × ≥ 2 ops × 20 ms) could never meet.
+        let (status, _, _) = conn
+            .send("POST", "/v1/_faults/stall", Some("{\"micros\":20000}"))
+            .unwrap();
+        assert_eq!(status, 200);
+        let (_other, other_server) = boot(4, 2);
+        let mut other = ClientConn::connect(other_server.local_addr()).unwrap();
+        let unstalled = query.replace("\"deadline_ms\":40", "\"deadline_ms\":5000");
+        let (status, _, body) = other.send("POST", "/v1/query", Some(&unstalled)).unwrap();
+        assert_eq!(status, 200, "{}", String::from_utf8_lossy(&body));
+        // Close the keep-alive connections first, or each `shutdown`
+        // waits out its worker's read timeout.
+        drop((other, conn));
+        other_server.shutdown();
         server.shutdown();
     }
 }

@@ -1,15 +1,14 @@
 //! End-to-end amortized inference at the core layer: a VI fit is
 //! checkpointed as a content-addressed [`Artifact`], and a warm query
 //! rebuilt from that artifact reproduces the fresh fit-then-draw result
-//! bit-for-bit while running **zero** fit iterations.
-//!
-//! Everything lives in one `#[test]` because the proof deltas the
-//! process-wide `ppl_inference::counters`, and the default test harness
-//! runs `#[test]` functions concurrently.
+//! bit-for-bit while running **zero** fit iterations.  The counts come
+//! from a ledger the test owns: a [`CancelToken`] passed to the query
+//! through [`QueryBuilder::cancel`](guide_ppl::QueryBuilder::cancel).
 
+use guide_ppl::runtime::CancelToken;
 use guide_ppl::{sample_to_artifact_obs, Method, Posterior, PosteriorResult, Session};
 use ppl_dist::Sample;
-use ppl_inference::{counters, ParamSpec, ViConfig};
+use ppl_inference::{ParamSpec, ViConfig};
 use ppl_store::{compute_id, Artifact, FitConfig, FitParam, Store, ARTIFACT_FORMAT_VERSION};
 
 const SEED: u64 = 11;
@@ -82,13 +81,18 @@ fn warm_artifact_query_is_bit_identical_and_runs_zero_fit_executions() {
 
     // Checkpoint path: fit once, persist the artifact, reload it from
     // disk, rebuild the query from the artifact, draw warm.
+    let fit_ledger = CancelToken::new();
     let query = session
         .query()
         .observe(observations.clone())
         .seed(SEED)
+        .cancel(fit_ledger.clone())
         .build()
         .unwrap();
     let fit = query.fit_vi(&specs, &config).unwrap();
+    let fit_executions = (config.iterations * config.samples_per_iteration) as u64;
+    assert_eq!(fit_ledger.vi_fit_executions(), fit_executions);
+    assert_eq!(fit_ledger.joint_executions(), fit_executions);
 
     let schema: Vec<FitParam> = specs
         .iter()
@@ -150,19 +154,22 @@ fn warm_artifact_query_is_bit_identical_and_runs_zero_fit_executions() {
     let loaded = reopened.get(&stored_id).expect("artifact survives restart");
     std::fs::remove_dir_all(&dir).ok();
 
-    // Warm path: rebuild the query from the artifact and draw — counting
-    // fit executions around it to prove the fit never ran.
-    let warm_query = session.query().vi_from_artifact(&loaded).unwrap();
-    let fit_before = counters::vi_fit_executions();
-    let joint_before = counters::joint_executions();
+    // Warm path: rebuild the query from the artifact and draw — reading
+    // the query's own ledger to prove the fit never ran.
+    let warm_ledger = CancelToken::new();
+    let warm_query = session
+        .query()
+        .cancel(warm_ledger.clone())
+        .vi_from_artifact(&loaded)
+        .unwrap();
     let warm = warm_query.run_vi_warm(&loaded, Some(DRAWS)).unwrap();
     assert_eq!(
-        counters::vi_fit_executions() - fit_before,
+        warm_ledger.vi_fit_executions(),
         0,
         "warm query must schedule zero VI fit executions"
     );
     assert_eq!(
-        counters::joint_executions() - joint_before,
+        warm_ledger.joint_executions(),
         DRAWS as u64,
         "warm query schedules only the draw pass"
     );
