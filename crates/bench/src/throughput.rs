@@ -691,7 +691,7 @@ pub struct AmortizationRow {
 /// re-verified per request against the serving app's own ledger.
 pub fn amortization_rows(config: &ThroughputConfig) -> Vec<AmortizationRow> {
     use ppl_serve::http::ClientConn;
-    use ppl_serve::{App, Registry, Server};
+    use ppl_serve::{App, AppLimits, Registry, Server};
     use ppl_store::Store;
 
     let name = "weight";
@@ -702,7 +702,13 @@ pub fn amortization_rows(config: &ThroughputConfig) -> Vec<AmortizationRow> {
     // Cache capacity 0: every query re-runs its draw pass (and a cold one
     // its fit), so the measured ratio is fit amortization alone.
     let store = std::sync::Arc::new(Store::in_memory(16));
-    let app = App::with_store(Registry::from_benchmarks(), 0, config.block, store);
+    let app = App::with_limits(
+        Registry::from_benchmarks(),
+        0,
+        config.block,
+        store,
+        AppLimits::default(),
+    );
     let server = Server::bind("127.0.0.1:0", 2, app.handler()).expect("bind loopback");
     let mut conn = ClientConn::connect(server.local_addr()).expect("loopback connect");
 
@@ -750,9 +756,6 @@ pub fn amortization_rows(config: &ThroughputConfig) -> Vec<AmortizationRow> {
             ok &= status == 200 && reference.as_ref() == Some(&body);
         }
     });
-    // Close the keep-alive connection first: a worker still serving it
-    // would hold `shutdown` until its read timeout.
-    drop(conn);
     let artifacts = app.store.len() as u64;
     let store_bytes = app.store.bytes();
     let warm_starts = app.store.warm_starts();

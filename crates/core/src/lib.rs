@@ -78,7 +78,8 @@ pub use ppl_syntax as syntax;
 pub use ppl_tracetypes as tracetypes;
 pub use ppl_types as types;
 pub use query::{
-    sample_to_artifact_obs, Method, PosteriorResult, Query, QueryBuilder, QueryError, ViFit,
+    artifact_obs_to_sample, sample_to_artifact_obs, Method, PosteriorResult, Query, QueryBuilder,
+    QueryError, ViFit,
 };
 
 /// Errors produced by the end-to-end pipeline.

@@ -524,7 +524,9 @@ pub fn sample_to_artifact_obs(sample: &Sample) -> ObsLit {
     }
 }
 
-fn artifact_obs_to_sample(obs: &ObsLit) -> Sample {
+/// Converts an artifact store observation literal back to the runtime
+/// [`Sample`] it was made from (the inverse of [`sample_to_artifact_obs`]).
+pub fn artifact_obs_to_sample(obs: &ObsLit) -> Sample {
     match obs {
         ObsLit::Bool(b) => Sample::Bool(*b),
         ObsLit::Real(x) => Sample::Real(*x),
@@ -730,7 +732,8 @@ impl Query {
     }
 
     /// The VI fit of [`Method::Vi`] and [`Query::fit_vi`], on at least the
-    /// query's thread count (threads never change results).
+    /// query's thread count and at its block size (neither changes
+    /// results).
     fn fit(
         &self,
         params: &[ParamSpec],
@@ -739,6 +742,7 @@ impl Query {
     ) -> Result<ViResult, RuntimeError> {
         let mut config = config.clone();
         config.num_threads = config.num_threads.max(self.threads);
+        config.block = self.block;
         VariationalInference::new(config).run(&self.executor, &self.spec, params, rng)
     }
 
@@ -1196,6 +1200,41 @@ mod tests {
             err,
             SessionError::Query(QueryError::InvalidMethod { .. })
         ));
+    }
+
+    #[test]
+    fn the_fit_runs_at_the_query_block_size() {
+        let s = Session::from_benchmark("weight").unwrap();
+        let params = vec![
+            ParamSpec::unconstrained("mu", 2.0),
+            ParamSpec::positive("sigma", 1.0),
+        ];
+        let config = ViConfig {
+            iterations: 20,
+            samples_per_iteration: 8,
+            ..ViConfig::default()
+        };
+        let fit = |block: usize| {
+            s.query()
+                .observe(vec![Sample::Real(9.0), Sample::Real(9.0)])
+                .seed(5)
+                .block(block)
+                .build()
+                .unwrap()
+                .fit_vi(&params, &config)
+                .unwrap()
+                .result
+        };
+        let (scalar, blocked) = (fit(1), fit(64));
+        let bits = |r: &ViResult| r.params.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&scalar), bits(&blocked), "block never changes a fit");
+        // One cancel poll per block: one-particle blocks poll more often.
+        assert!(
+            scalar.counts.cancel_checks > blocked.counts.cancel_checks,
+            "block 1: {} cancel checks, block 64: {}",
+            scalar.counts.cancel_checks,
+            blocked.counts.cancel_checks
+        );
     }
 
     #[test]

@@ -46,6 +46,12 @@
 //! `draw_particles`) all default sensibly — `params` to the registry's
 //! initial variational parameters.
 //!
+//! A query naming an `"artifact"` decodes into the same request: the
+//! stored fit's seed, observations, model arguments and VI method fill the
+//! fields it pins.  It takes the cold query's path through the cache,
+//! spans, execution record and trace, replaying the stored draw pass where
+//! a cold query runs its method.
+//!
 //! # Determinism and the cache
 //!
 //! A response is a pure function of the request fingerprint (model,
@@ -61,13 +67,16 @@ use crate::cache::ResponseCache;
 use crate::http::{Handler, Request, Response};
 use crate::json::{Json, JsonError};
 use crate::metrics::Metrics;
-use crate::registry::{ModelEntry, Registry};
+use crate::registry::{param_spec, ModelEntry, Registry};
+use guide_ppl::query::VI_POSTERIOR_PARTICLES;
 use guide_ppl::runtime::{CancelToken, RuntimeError};
-use guide_ppl::{Method, Posterior, PosteriorResult, Query, QueryError, SessionError};
+use guide_ppl::{
+    artifact_obs_to_sample, Method, Posterior, PosteriorResult, Query, QueryError, SessionError,
+};
 use ppl_dist::Sample;
 use ppl_inference::{ParamSpec, PosteriorSummary, ViConfig};
 use ppl_semantics::value::Value;
-use ppl_store::Store;
+use ppl_store::{Artifact, Store, ARTIFACT_FORMAT_VERSION};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -146,35 +155,22 @@ pub struct App {
 }
 
 impl App {
-    /// Creates an app over a registry with the given cache capacity and
-    /// the default vectorised-execution block size.
+    /// Creates an app over a registry with the given cache capacity, the
+    /// default vectorised-execution block size, an in-memory artifact
+    /// store and the default limits.
     pub fn new(registry: Registry, cache_capacity: usize) -> Arc<App> {
-        App::with_block(registry, cache_capacity, ppl_inference::DEFAULT_BLOCK)
-    }
-
-    /// [`App::new`] with an explicit default block size (clamped to ≥ 1).
-    pub fn with_block(registry: Registry, cache_capacity: usize, block: usize) -> Arc<App> {
-        App::with_store(
+        App::with_limits(
             registry,
             cache_capacity,
-            block,
+            ppl_inference::DEFAULT_BLOCK,
             Arc::new(Store::in_memory(ppl_store::DEFAULT_STORE_CAPACITY)),
+            AppLimits::default(),
         )
     }
 
-    /// [`App::with_block`] over an explicit artifact store — the
-    /// constructor `ppl-serve` uses when `--store-dir` is set, so a
-    /// restart warm-starts the artifact index from disk.
-    pub fn with_store(
-        registry: Registry,
-        cache_capacity: usize,
-        block: usize,
-        store: Arc<Store>,
-    ) -> Arc<App> {
-        App::with_limits(registry, cache_capacity, block, store, AppLimits::default())
-    }
-
-    /// The full constructor: explicit store *and* explicit overload
+    /// The full constructor: an explicit default block size (clamped to
+    /// ≥ 1), artifact store (`ppl-serve` opens it on `--store-dir`, so a
+    /// restart warm-starts the artifact index from disk), and overload
     /// limits / deadline defaults.
     pub fn with_limits(
         registry: Registry,
@@ -226,7 +222,7 @@ impl App {
     /// Builds the cancel token for one request: the server drain flag plus
     /// the request's effective deadline (`deadline_ms`, falling back to
     /// [`AppLimits::default_deadline_ms`]).
-    pub(crate) fn request_token(&self, deadline_ms: Option<u64>) -> CancelToken {
+    fn request_token(&self, deadline_ms: Option<u64>) -> CancelToken {
         match deadline_ms.or(self.limits.default_deadline_ms) {
             Some(ms) => self.drain.deadline_in(Duration::from_millis(ms)),
             None => self.drain.clone(),
@@ -480,35 +476,20 @@ fn route(app: &Arc<App>, req: &Request) -> Response {
         return match req.method.as_str() {
             "GET" => crate::ingest::get_model(app, id).unwrap_or_else(|e| e.to_response()),
             "DELETE" => crate::ingest::delete_model(app, id).unwrap_or_else(|e| e.to_response()),
-            _ => ApiError::new(
-                405,
-                "method.not_allowed",
-                "wrong HTTP method for this route",
-            )
-            .to_response(),
+            _ => method_not_allowed(),
         };
     }
     if let Some(id) = req.path.strip_prefix("/v1/artifacts/") {
         return match req.method.as_str() {
             "GET" => crate::fit::get_artifact(app, id).unwrap_or_else(|e| e.to_response()),
             "DELETE" => crate::fit::delete_artifact(app, id).unwrap_or_else(|e| e.to_response()),
-            _ => ApiError::new(
-                405,
-                "method.not_allowed",
-                "wrong HTTP method for this route",
-            )
-            .to_response(),
+            _ => method_not_allowed(),
         };
     }
     if let Some(id) = req.path.strip_prefix("/v1/trace/") {
         return match req.method.as_str() {
             "GET" => crate::trace_api::get_trace(app, id).unwrap_or_else(|e| e.to_response()),
-            _ => ApiError::new(
-                405,
-                "method.not_allowed",
-                "wrong HTTP method for this route",
-            )
-            .to_response(),
+            _ => method_not_allowed(),
         };
     }
     match (req.method.as_str(), req.path.as_str()) {
@@ -527,14 +508,18 @@ fn route(app: &Arc<App>, req: &Request) -> Response {
             _,
             "/healthz" | "/metrics" | "/v1/models" | "/v1/query" | "/v1/batch" | "/v1/fit"
             | "/v1/artifacts" | "/v1/trace",
-        ) => ApiError::new(
-            405,
-            "method.not_allowed",
-            "wrong HTTP method for this route",
-        )
-        .to_response(),
+        ) => method_not_allowed(),
         _ => ApiError::new(404, "route.unknown", format!("no route '{}'", req.path)).to_response(),
     }
+}
+
+fn method_not_allowed() -> Response {
+    ApiError::new(
+        405,
+        "method.not_allowed",
+        "wrong HTTP method for this route",
+    )
+    .to_response()
 }
 
 fn healthz(app: &App) -> Response {
@@ -786,22 +771,55 @@ pub const MAX_REQUEST_EXECUTIONS: u64 = 1_000_000;
 /// Upper bound on observation sets in one `/v1/batch` request.
 pub const MAX_BATCH_ITEMS: usize = 256;
 
+/// The request fields `/v1/query`, `/v1/batch` and `/v1/fit` share, all
+/// decoded by [`decode_fields`].
+#[derive(Clone)]
+pub(crate) struct Fields {
+    pub(crate) observations: Vec<Sample>,
+    pub(crate) seed: u64,
+    pub(crate) model_args: Vec<f64>,
+    threads: usize,
+    block: usize,
+    /// The request's cancel token (drain flag + effective deadline).
+    /// Cloned batch items share the whole-batch deadline.  Excluded from
+    /// the cache fingerprint and the artifact id: a deadline never changes
+    /// a successful result, only whether one is produced.
+    cancel: CancelToken,
+}
+
 /// A decoded `/v1/query` request (one item of a `/v1/batch` too).
 #[derive(Clone)]
 struct QueryRequest {
-    observations: Vec<Sample>,
+    fields: Fields,
     method: Method,
-    seed: u64,
-    threads: usize,
-    block: usize,
-    model_args: Vec<Value>,
-    guide_args: Vec<Value>,
+    guide_args: Vec<f64>,
     sample_index: usize,
-    /// The request's cancel token (drain flag + effective deadline).
-    /// Cloned batch items share the whole-batch deadline.  Excluded from
-    /// the cache fingerprint: a deadline never changes a successful
-    /// result, only whether one is produced.
-    cancel: CancelToken,
+    /// The stored fit an artifact-warm query draws from.  Its seed,
+    /// observations, model arguments and `Method::Vi` fill the fields
+    /// above, and [`serve_one`] replays its draw pass instead of fitting.
+    artifact: Option<Arc<Artifact>>,
+}
+
+impl QueryRequest {
+    /// Joint executions the request schedules (the work bound enforced by
+    /// [`MAX_REQUEST_EXECUTIONS`]): an artifact-warm query only draws.
+    fn executions(&self) -> u64 {
+        match &self.method {
+            Method::Importance { particles } => *particles as u64,
+            Method::Mh { iterations, .. } => *iterations as u64,
+            Method::Vi {
+                config,
+                draw_particles,
+                ..
+            } => {
+                let draws = draw_particles.unwrap_or(VI_POSTERIOR_PARTICLES) as u64;
+                match self.artifact {
+                    Some(_) => draws,
+                    None => fit_executions(config).saturating_add(draws),
+                }
+            }
+        }
+    }
 }
 
 fn query(app: &Arc<App>, req: &Request) -> Result<Response, ApiError> {
@@ -825,9 +843,6 @@ fn query(app: &Arc<App>, req: &Request) -> Result<Response, ApiError> {
             .and_then(Json::as_bool)
             .unwrap_or(false);
     let entry = lookup_model(app, &doc)?;
-    if doc.get("artifact").is_some() {
-        return crate::fit::artifact_query(app, &doc, &entry);
-    }
     let request = decode_request(app, &doc, &entry)?;
     let (body, hit, engine) = serve_one(app, &entry, &request)?;
     let mut text = body.to_string();
@@ -859,21 +874,7 @@ fn splice_trace(body: &mut String, hit: bool, engine: Option<Json>) {
         ),
     ];
     if let Some(spans) = ppl_obs::trace::span_snapshot() {
-        fields.push((
-            "spans_ms".to_string(),
-            Json::Obj(
-                ppl_obs::PHASES
-                    .iter()
-                    .filter(|phase| spans[phase.index()] > 0)
-                    .map(|phase| {
-                        (
-                            phase.as_str().to_string(),
-                            Json::num_or_null(spans[phase.index()] as f64 / 1e6),
-                        )
-                    })
-                    .collect(),
-            ),
-        ));
+        fields.push(("spans_ms".to_string(), crate::trace_api::spans_ms(&spans)));
     }
     fields.push(("engine".to_string(), engine.unwrap_or(Json::Null)));
     body.pop();
@@ -994,16 +995,11 @@ fn batch(app: &Arc<App>, req: &Request) -> Result<Response, ApiError> {
             )
         }
     };
-    let base_seed = opt_u64(&doc, "seed")?.unwrap_or(0);
     if sets.len() > MAX_BATCH_ITEMS {
-        return Err(ApiError::new(
-            400,
-            "request.limit",
-            format!(
-                "{} observation sets exceed the per-request limit of {MAX_BATCH_ITEMS}",
-                sets.len()
-            ),
-        ));
+        return Err(request_limit(format!(
+            "{} observation sets exceed the per-request limit of {MAX_BATCH_ITEMS}",
+            sets.len()
+        )));
     }
 
     // The shared fields (method, threads, guide args, …) decode once; each
@@ -1017,23 +1013,16 @@ fn batch(app: &Arc<App>, req: &Request) -> Result<Response, ApiError> {
     let mut requests = Vec::with_capacity(sets.len());
     for (i, set) in sets.iter().enumerate() {
         let at = |e: ApiError| e.with("index", Json::Num(i as f64));
-        let items = set
-            .as_arr()
-            .ok_or_else(|| at(bad_schema("each observation set must be an array")))?;
         let mut request = base.clone();
-        request.observations = items
-            .iter()
-            .enumerate()
-            .map(|(j, item)| decode_observation(j, item))
-            .collect::<Result<_, _>>()
-            .map_err(at)?;
-        request.seed = match &seeds {
+        request.fields.observations =
+            decode_observations(set, "each observation set must be an array").map_err(at)?;
+        request.fields.seed = match &seeds {
             Some(seeds) => seeds[i],
-            None => base_seed + i as u64,
+            None => base.fields.seed + i as u64,
         };
         // Validation (observation protocol, arity, rendezvous) runs now,
         // before any inference.
-        build_query(&entry, &request).map_err(at)?;
+        build_query(&entry, &request.fields, &request.guide_args).map_err(at)?;
         requests.push(request);
     }
 
@@ -1117,22 +1106,34 @@ fn serve_one(
     ppl_obs::trace::annotate("cache", "miss".to_string());
     let query = {
         let _span = ppl_obs::Span::enter(ppl_obs::Phase::Validate);
-        build_query(entry, request)?
+        build_query(entry, &request.fields, &request.guide_args)?
     };
-    // VI requests spend their run fitting a guide; IS/MH requests spend
-    // it drawing.  (The VI posterior's draw stage is folded into the fit
-    // span — one request, one inference span.)
-    let infer_phase = match request.method {
-        Method::Vi { .. } => ppl_obs::Phase::InferFit,
+    // Cold VI requests spend their run fitting a guide; IS/MH requests and
+    // artifact-warm queries spend it drawing.  (The VI posterior's draw
+    // stage is folded into the fit span — one request, one inference span.)
+    let infer_phase = match (&request.method, &request.artifact) {
+        (Method::Vi { .. }, None) => ppl_obs::Phase::InferFit,
         _ => ppl_obs::Phase::InferDraw,
     };
     let run_started = Instant::now();
     let posterior = {
         let _span = ppl_obs::Span::enter(infer_phase);
-        query.run(&request.method).map_err(from_session_error)?
+        match (&request.artifact, &request.method) {
+            // The stored parameters and post-fit RNG words replay the draw
+            // pass bit-identically to the fresh fit, with zero fit
+            // executions.
+            (Some(artifact), Method::Vi { draw_particles, .. }) => {
+                query.run_vi_warm(artifact, *draw_particles)
+            }
+            _ => query.run(&request.method),
+        }
+        .map_err(from_session_error)?
     };
+    if request.artifact.is_some() {
+        app.store.record_warm_start();
+    }
     entry.record_execution(
-        scheduled_executions(&request.method),
+        request.executions(),
         run_started.elapsed().as_nanos() as u64,
     );
     // The run's own counts: they live only in the uncached trace block,
@@ -1146,7 +1147,7 @@ fn serve_one(
         query_response_json(
             &entry.id,
             &request.method,
-            request.seed,
+            request.fields.seed,
             &posterior,
             request.sample_index,
         )
@@ -1158,104 +1159,198 @@ fn serve_one(
     Ok((body, false, Some(engine_json(&diag))))
 }
 
-fn build_query(entry: &ModelEntry, request: &QueryRequest) -> Result<Query, ApiError> {
+/// Builds and validates the query a request's `fields` and `guide_args`
+/// describe.
+pub(crate) fn build_query(
+    entry: &ModelEntry,
+    fields: &Fields,
+    guide_args: &[f64],
+) -> Result<Query, ApiError> {
+    let reals = |args: &[f64]| args.iter().map(|&x| Value::Real(x)).collect();
     entry
         .session
         .query()
-        .observe(request.observations.iter().cloned())
-        .seed(request.seed)
-        .threads(request.threads)
-        .block(request.block)
-        .model_args(request.model_args.clone())
-        .guide_args(request.guide_args.clone())
-        .cancel(request.cancel.clone())
+        .observe(fields.observations.iter().cloned())
+        .seed(fields.seed)
+        .threads(fields.threads)
+        .block(fields.block)
+        .model_args(reals(&fields.model_args))
+        .guide_args(reals(guide_args))
+        .cancel(fields.cancel.clone())
         .build()
         .map_err(|e| from_session_error(SessionError::Query(e)))
 }
 
+/// Decodes the fields every inference route shares.
+pub(crate) fn decode_fields(app: &App, doc: &Json) -> Result<Fields, ApiError> {
+    Ok(Fields {
+        observations: match doc.get("observations") {
+            Some(json) => decode_observations(json, "'observations' must be an array")?,
+            None => Vec::new(),
+        },
+        seed: opt_u64(doc, "seed")?.unwrap_or(0),
+        model_args: real_args(doc, "model_args")?,
+        threads: opt_u64(doc, "threads")?.unwrap_or(1).max(1) as usize,
+        block: opt_u64(doc, "block")?.map_or(app.default_block, |n| (n as usize).max(1)),
+        // The token captures an *absolute* deadline now, at decode time, so
+        // queueing and validation spend the same budget inference does.
+        cancel: app.request_token(opt_u64(doc, "deadline_ms")?),
+    })
+}
+
 fn decode_request(app: &App, doc: &Json, entry: &ModelEntry) -> Result<QueryRequest, ApiError> {
-    let observations = match doc.get("observations") {
-        None => Vec::new(),
-        Some(json) => {
-            let items = json
-                .as_arr()
-                .ok_or_else(|| bad_schema("'observations' must be an array"))?;
-            items
-                .iter()
-                .enumerate()
-                .map(|(i, item)| decode_observation(i, item))
-                .collect::<Result<_, _>>()?
-        }
+    let artifact = match doc.get("artifact") {
+        Some(id) => Some(stored_artifact(app, doc, entry, id)?),
+        None => None,
     };
-    let method = decode_method(doc.get("method"), entry)?;
-    let cost = scheduled_executions(&method);
-    // Builtins carry the full MAX_REQUEST_EXECUTIONS budget; user models a
-    // reduced one — the same accounting either way.
-    if cost > entry.max_request_executions {
-        return Err(ApiError::new(
-            400,
-            "request.limit",
-            format!(
-                "the request schedules {cost} joint executions, above this model's per-request limit of {}",
-                entry.max_request_executions
-            ),
-        )
-        .with("limit", Json::Num(entry.max_request_executions as f64)));
-    }
-    let seed = opt_u64(doc, "seed")?.unwrap_or(0);
-    let threads = opt_u64(doc, "threads")?.unwrap_or(1).max(1) as usize;
-    let block = opt_u64(doc, "block")?
-        .map(|n| (n as usize).max(1))
-        .unwrap_or(app.default_block);
-    // The token captures an *absolute* deadline now, at decode time, so
-    // queueing and validation spend the same budget inference does.
-    let cancel = app.request_token(opt_u64(doc, "deadline_ms")?);
-    let sample_index = opt_u64(doc, "sample_index")?.unwrap_or(0) as usize;
-    let model_args = real_args(doc, "model_args")?;
+    let mut fields = decode_fields(app, doc)?;
+    let method = match &artifact {
+        // The artifact's provenance stands in for the fields it pins, so
+        // the warm query runs and renders exactly as the fresh
+        // fit-then-draw query that minted it.
+        Some(artifact) => {
+            fields.observations = artifact
+                .observations
+                .iter()
+                .map(artifact_obs_to_sample)
+                .collect();
+            fields.seed = artifact.seed;
+            fields.model_args = artifact.model_args.clone();
+            artifact_method(artifact, opt_u64(doc, "draw_particles")?)
+        }
+        None => decode_method(doc.get("method"), entry)?,
+    };
     let mut guide_args = real_args(doc, "guide_args")?;
     // IS and MH sample the guide at fixed arguments; when the guide is
     // parameterised and the caller sent none, use the registry's initial
     // values so argument-less requests work out of the box.  (VI ignores
     // guide arguments — it owns the parameters.)
     if guide_args.is_empty() && !matches!(method, Method::Vi { .. }) {
-        guide_args = entry
-            .guide_param_defaults
-            .iter()
-            .map(|p| Value::Real(p.init))
-            .collect();
+        guide_args = entry.guide_param_defaults.iter().map(|p| p.init).collect();
     }
-    Ok(QueryRequest {
-        observations,
+    let request = QueryRequest {
+        fields,
         method,
-        seed,
-        threads,
-        block,
-        model_args,
         guide_args,
-        sample_index,
-        cancel,
-    })
+        sample_index: opt_u64(doc, "sample_index")?.unwrap_or(0) as usize,
+        artifact,
+    };
+    // Builtins carry the full MAX_REQUEST_EXECUTIONS budget; user models a
+    // reduced one — the same accounting either way.
+    let what = match request.artifact {
+        Some(_) => "the draw pass",
+        None => "the request",
+    };
+    within_budget(entry, what, request.executions())?;
+    Ok(request)
 }
 
-/// Joint executions a method schedules (the work bound enforced by
-/// [`MAX_REQUEST_EXECUTIONS`]).
-fn scheduled_executions(method: &Method) -> u64 {
-    match method {
-        Method::Importance { particles } => *particles as u64,
-        Method::Mh { iterations, .. } => *iterations as u64,
-        Method::Vi {
-            config,
-            draw_particles,
-            ..
-        } => (config.iterations as u64)
-            .saturating_mul(config.samples_per_iteration as u64)
-            .saturating_add(
-                draw_particles.unwrap_or(guide_ppl::query::VI_POSTERIOR_PARTICLES) as u64,
+/// Resolves an artifact-warm query's `"artifact"` id to its stored fit.
+fn stored_artifact(
+    app: &App,
+    doc: &Json,
+    entry: &ModelEntry,
+    id: &Json,
+) -> Result<Arc<Artifact>, ApiError> {
+    // The artifact pins the fit's seed, observations, and parameters; a
+    // request that also supplies them is ambiguous and rejected outright.
+    for key in ["method", "seed", "observations", "model_args", "guide_args"] {
+        if doc.get(key).is_some() {
+            return Err(bad_schema(format!(
+                "'{key}' conflicts with 'artifact': the artifact pins the fit's seed, \
+                 observations, and parameters"
+            )));
+        }
+    }
+    let id = id
+        .as_str()
+        .ok_or_else(|| bad_schema("'artifact' must be a string artifact id"))?;
+    let artifact = app
+        .store
+        .get(id)
+        .ok_or_else(|| crate::fit::unknown_artifact(400, id))?;
+    if artifact.model_id != entry.id {
+        return Err(ApiError::new(
+            400,
+            "artifact.model_mismatch",
+            format!(
+                "artifact '{id}' was fitted for model '{}', not '{}'",
+                artifact.model_id, entry.id
             ),
+        )
+        .with("artifact_model", Json::str(artifact.model_id.clone()))
+        .with("model", Json::str(entry.id.clone())));
+    }
+    if artifact.version != ARTIFACT_FORMAT_VERSION {
+        return Err(ApiError::new(
+            400,
+            "artifact.version",
+            format!(
+                "artifact '{id}' has format version {}, not the supported version \
+                 {ARTIFACT_FORMAT_VERSION}",
+                artifact.version
+            ),
+        ));
+    }
+    Ok(artifact)
+}
+
+/// The `Method::Vi` whose fit an artifact recorded, drawing
+/// `draw_particles`.
+fn artifact_method(artifact: &Artifact, draw_particles: Option<u64>) -> Method {
+    Method::Vi {
+        params: artifact
+            .schema
+            .iter()
+            .map(|p| param_spec(&p.name, p.init, p.positive))
+            .collect(),
+        config: ViConfig {
+            iterations: artifact.config.iterations,
+            samples_per_iteration: artifact.config.samples_per_iteration,
+            learning_rate: artifact.config.learning_rate,
+            fd_epsilon: artifact.config.fd_epsilon,
+            ..ViConfig::default()
+        },
+        draw_particles: draw_particles.map(|n| n as usize),
     }
 }
 
-pub(crate) fn decode_observation(index: usize, json: &Json) -> Result<Sample, ApiError> {
+/// The one `400 request.limit` rejection: a request above a per-request
+/// bound.
+fn request_limit(message: String) -> ApiError {
+    ApiError::new(400, "request.limit", message)
+}
+
+/// Rejects `what` with `request.limit` when its `cost` in joint executions
+/// exceeds the model's per-request budget.
+pub(crate) fn within_budget(entry: &ModelEntry, what: &str, cost: u64) -> Result<(), ApiError> {
+    let limit = entry.max_request_executions;
+    if cost <= limit {
+        return Ok(());
+    }
+    Err(request_limit(format!(
+        "{what} schedules {cost} joint executions, above this model's per-request limit of {limit}"
+    ))
+    .with("limit", Json::Num(limit as f64)))
+}
+
+/// Joint executions a VI fit schedules: iterations × samples.
+pub(crate) fn fit_executions(config: &ViConfig) -> u64 {
+    (config.iterations as u64).saturating_mul(config.samples_per_iteration as u64)
+}
+
+/// Decodes an observation array, `not_an_array` naming it when it is not
+/// one.
+fn decode_observations(json: &Json, not_an_array: &str) -> Result<Vec<Sample>, ApiError> {
+    json.as_arr()
+        .ok_or_else(|| bad_schema(not_an_array))?
+        .iter()
+        .enumerate()
+        .map(|(i, item)| decode_observation(i, item))
+        .collect()
+}
+
+fn decode_observation(index: usize, json: &Json) -> Result<Sample, ApiError> {
     match json {
         Json::Bool(b) => Ok(Sample::Bool(*b)),
         Json::Num(x) => Ok(Sample::Real(*x)),
@@ -1311,42 +1406,7 @@ fn decode_method(json: Option<&Json>, entry: &ModelEntry) -> Result<Method, ApiE
             })
         }
         "vi" => {
-            let mut config = ViConfig::default();
-            if let Some(n) = opt_u64(json, "iterations")? {
-                config.iterations = n as usize;
-            }
-            if let Some(n) = opt_u64(json, "samples_per_iteration")? {
-                config.samples_per_iteration = n as usize;
-            }
-            if let Some(x) = opt_f64(json, "learning_rate")? {
-                config.learning_rate = x;
-            }
-            if let Some(x) = opt_f64(json, "fd_epsilon")? {
-                config.fd_epsilon = x;
-            }
-            let params = match json.get("params") {
-                Some(json) => {
-                    let items = json
-                        .as_arr()
-                        .ok_or_else(|| bad_schema("'method.params' must be an array"))?;
-                    items
-                        .iter()
-                        .map(decode_param)
-                        .collect::<Result<Vec<_>, _>>()?
-                }
-                // Default to the registry's initial variational parameters.
-                None => entry
-                    .guide_param_defaults
-                    .iter()
-                    .map(|p| {
-                        if p.positive {
-                            ParamSpec::positive(&p.name, p.init)
-                        } else {
-                            ParamSpec::unconstrained(&p.name, p.init)
-                        }
-                    })
-                    .collect(),
-            };
+            let (params, config) = decode_vi(json, "method", entry)?;
             let draw_particles = opt_u64(json, "draw_particles")?.map(|n| n as usize);
             Ok(Method::Vi {
                 params,
@@ -1360,7 +1420,40 @@ fn decode_method(json: Option<&Json>, entry: &ModelEntry) -> Result<Method, ApiE
     }
 }
 
-pub(crate) fn decode_param(json: &Json) -> Result<ParamSpec, ApiError> {
+/// Decodes a VI configuration: a `"method"` with `"algorithm": "vi"`, or
+/// `/v1/fit`'s `"fit"` object (`key` names it in errors).  Every field
+/// defaults, `params` to the registry's initial variational parameters.
+pub(crate) fn decode_vi(
+    json: &Json,
+    key: &str,
+    entry: &ModelEntry,
+) -> Result<(Vec<ParamSpec>, ViConfig), ApiError> {
+    let mut config = ViConfig::default();
+    if let Some(n) = opt_u64(json, "iterations")? {
+        config.iterations = n as usize;
+    }
+    if let Some(n) = opt_u64(json, "samples_per_iteration")? {
+        config.samples_per_iteration = n as usize;
+    }
+    if let Some(x) = opt_f64(json, "learning_rate")? {
+        config.learning_rate = x;
+    }
+    if let Some(x) = opt_f64(json, "fd_epsilon")? {
+        config.fd_epsilon = x;
+    }
+    let params = match json.get("params") {
+        Some(json) => json
+            .as_arr()
+            .ok_or_else(|| bad_schema(format!("'{key}.params' must be an array")))?
+            .iter()
+            .map(decode_param)
+            .collect::<Result<_, _>>()?,
+        None => entry.guide_param_defaults.clone(),
+    };
+    Ok((params, config))
+}
+
+fn decode_param(json: &Json) -> Result<ParamSpec, ApiError> {
     let name = json
         .get("name")
         .and_then(Json::as_str)
@@ -1373,14 +1466,10 @@ pub(crate) fn decode_param(json: &Json) -> Result<ParamSpec, ApiError> {
         .get("positive")
         .and_then(Json::as_bool)
         .unwrap_or(false);
-    Ok(if positive {
-        ParamSpec::positive(name, init)
-    } else {
-        ParamSpec::unconstrained(name, init)
-    })
+    Ok(param_spec(name, init, positive))
 }
 
-pub(crate) fn opt_u64(doc: &Json, key: &str) -> Result<Option<u64>, ApiError> {
+fn opt_u64(doc: &Json, key: &str) -> Result<Option<u64>, ApiError> {
     match doc.get(key) {
         None | Some(Json::Null) => Ok(None),
         Some(json) => json
@@ -1390,7 +1479,7 @@ pub(crate) fn opt_u64(doc: &Json, key: &str) -> Result<Option<u64>, ApiError> {
     }
 }
 
-pub(crate) fn opt_f64(doc: &Json, key: &str) -> Result<Option<f64>, ApiError> {
+fn opt_f64(doc: &Json, key: &str) -> Result<Option<f64>, ApiError> {
     match doc.get(key) {
         None | Some(Json::Null) => Ok(None),
         Some(json) => json
@@ -1400,22 +1489,16 @@ pub(crate) fn opt_f64(doc: &Json, key: &str) -> Result<Option<f64>, ApiError> {
     }
 }
 
-pub(crate) fn real_args(doc: &Json, key: &str) -> Result<Vec<Value>, ApiError> {
+fn real_args(doc: &Json, key: &str) -> Result<Vec<f64>, ApiError> {
+    let not_reals = || bad_schema(format!("'{key}' must be an array of numbers"));
     match doc.get(key) {
         None => Ok(Vec::new()),
-        Some(json) => {
-            let items = json
-                .as_arr()
-                .ok_or_else(|| bad_schema(format!("'{key}' must be an array of numbers")))?;
-            items
-                .iter()
-                .map(|x| {
-                    x.as_f64()
-                        .map(Value::Real)
-                        .ok_or_else(|| bad_schema(format!("'{key}' must be an array of numbers")))
-                })
-                .collect()
-        }
+        Some(json) => json
+            .as_arr()
+            .ok_or_else(not_reals)?
+            .iter()
+            .map(|x| x.as_f64().ok_or_else(not_reals))
+            .collect(),
     }
 }
 
@@ -1427,13 +1510,24 @@ pub(crate) fn real_args(doc: &Json, key: &str) -> Result<Vec<Value>, ApiError> {
 /// differing only in `threads` or `block` share a cache line.
 fn fingerprint(model: &str, request: &QueryRequest) -> String {
     use std::fmt::Write;
+    if let Some(artifact) = &request.artifact {
+        // The artifact id is a content hash and fits are deterministic, so
+        // (model, artifact, draw count, statistic) is an injective key, and
+        // a cold query's `seed=` key never meets it.
+        return format!(
+            "model={model};artifact={};d={};idx={}",
+            artifact.id,
+            request.executions(),
+            request.sample_index
+        );
+    }
     let mut s = String::with_capacity(128);
     let _ = write!(
         s,
         "model={model};seed={};idx={};obs=",
-        request.seed, request.sample_index
+        request.fields.seed, request.sample_index
     );
-    for obs in &request.observations {
+    for obs in &request.fields.observations {
         match obs {
             Sample::Bool(b) => {
                 let _ = write!(s, "b{},", *b as u8);
@@ -1447,16 +1541,12 @@ fn fingerprint(model: &str, request: &QueryRequest) -> String {
         }
     }
     s.push_str(";margs=");
-    for v in &request.model_args {
-        if let Value::Real(x) = v {
-            let _ = write!(s, "{:016x},", x.to_bits());
-        }
+    for x in &request.fields.model_args {
+        let _ = write!(s, "{:016x},", x.to_bits());
     }
     s.push_str(";gargs=");
-    for v in &request.guide_args {
-        if let Value::Real(x) = v {
-            let _ = write!(s, "{:016x},", x.to_bits());
-        }
+    for x in &request.guide_args {
+        let _ = write!(s, "{:016x},", x.to_bits());
     }
     s.push_str(";method=");
     match &request.method {
@@ -1791,19 +1881,22 @@ mod tests {
         ];
         let b = vec![ParamSpec::unconstrained(format!("m:{bits1:016x}:0,m"), 2.0)];
         let request = |params: Vec<ParamSpec>| QueryRequest {
-            observations: vec![Sample::Real(9.0), Sample::Real(9.0)],
+            fields: Fields {
+                observations: vec![Sample::Real(9.0), Sample::Real(9.0)],
+                seed: 1,
+                model_args: vec![],
+                threads: 1,
+                block: 1,
+                cancel: CancelToken::none(),
+            },
             method: Method::Vi {
                 params,
                 config: ViConfig::default(),
                 draw_particles: None,
             },
-            seed: 1,
-            threads: 1,
-            block: 1,
-            model_args: vec![],
             guide_args: vec![],
             sample_index: 0,
-            cancel: CancelToken::none(),
+            artifact: None,
         };
         assert_ne!(
             fingerprint("weight", &request(a)),

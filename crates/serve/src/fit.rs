@@ -1,5 +1,5 @@
-//! Amortized inference over HTTP: `POST /v1/fit`, the
-//! `/v1/artifacts[/{id}]` lifecycle, and artifact-warm `/v1/query`.
+//! Amortized inference over HTTP: `POST /v1/fit` and the
+//! `/v1/artifacts[/{id}]` lifecycle.
 //!
 //! This is the serving half of the train → checkpoint → serve shape.
 //! `POST /v1/fit` runs the engine-level VI fit (through
@@ -13,6 +13,11 @@
 //! reuse is *sound by construction* (the paper's compatibility theorem),
 //! not an approximation heuristic.
 //!
+//! Only the fit-specific steps live here (the artifact id, idempotent
+//! reuse, the fit, `fit.nonfinite`, persistence, the artifact JSON): the
+//! request fields and the `"fit"` object decode with [`crate::api`]'s
+//! decoders, and [`crate::api`] serves artifact-warm queries.
+//!
 //! # Idempotence
 //!
 //! The artifact id is a content hash over every fit input, computable
@@ -24,22 +29,17 @@
 //!
 //! New stable codes follow the existing families: `fit.nonfinite` (the
 //! optimiser diverged; a 400, the config's fault), `fit.persist` (disk
-//! I/O failed; the only 500), `artifact.not_found`,
-//! `artifact.model_mismatch`, and `artifact.version` on the warm query
-//! path.  Client mistakes are never a 500.
+//! I/O failed; the only 500), and `artifact.not_found` (plus
+//! `artifact.model_mismatch` and `artifact.version` on the warm query
+//! path).  Client mistakes are never a 500.
 
 use crate::api::{
-    acquire_slot, bad_schema, decode_observation, decode_param, find_model, from_session_error,
-    opt_f64, opt_u64, parse_body, query_response_json, real_args, ApiError, App,
+    acquire_slot, bad_schema, build_query, decode_fields, decode_vi, find_model, fit_executions,
+    from_session_error, parse_body, within_budget, ApiError, App,
 };
 use crate::http::{Request, Response};
 use crate::json::Json;
-use crate::registry::ModelEntry;
-use guide_ppl::query::VI_POSTERIOR_PARTICLES;
-use guide_ppl::{sample_to_artifact_obs, Method, SessionError};
-use ppl_dist::Sample;
-use ppl_inference::{ParamSpec, ViConfig};
-use ppl_semantics::value::Value;
+use guide_ppl::sample_to_artifact_obs;
 use ppl_store::{compute_id, Artifact, FitConfig, FitParam, StoreError, ARTIFACT_FORMAT_VERSION};
 use std::sync::Arc;
 use std::time::Instant;
@@ -74,85 +74,16 @@ pub fn fit(app: &Arc<App>, req: &Request) -> Result<Response, ApiError> {
     let doc = parse_body(req)?;
     let entry = find_model(app, &doc)?;
     entry.record_fit();
-
-    let observations: Vec<Sample> = match doc.get("observations") {
-        None => Vec::new(),
-        Some(json) => {
-            let items = json
-                .as_arr()
-                .ok_or_else(|| bad_schema("'observations' must be an array"))?;
-            items
-                .iter()
-                .enumerate()
-                .map(|(i, item)| decode_observation(i, item))
-                .collect::<Result<_, _>>()?
-        }
-    };
-    let seed = opt_u64(&doc, "seed")?.unwrap_or(0);
-    let threads = opt_u64(&doc, "threads")?.unwrap_or(1).max(1) as usize;
-    let block = opt_u64(&doc, "block")?
-        .map(|n| (n as usize).max(1))
-        .unwrap_or(app.default_block);
-    let model_args = real_args(&doc, "model_args")?;
-    // Like threads/block, the deadline is a serving knob excluded from the
-    // artifact id: it never changes what a successful fit produces.
-    let cancel = app.request_token(opt_u64(&doc, "deadline_ms")?);
-
-    let fit_doc = match doc.get("fit") {
-        None => &Json::Obj(Vec::new()),
-        Some(json @ Json::Obj(_)) => json,
+    let fields = decode_fields(app, &doc)?;
+    let (params, config) = match doc.get("fit") {
+        None => decode_vi(&Json::Obj(Vec::new()), "fit", &entry)?,
+        Some(json @ Json::Obj(_)) => decode_vi(json, "fit", &entry)?,
         Some(_) => return Err(bad_schema("'fit' must be an object")),
     };
-    let mut config = ViConfig::default();
-    if let Some(n) = opt_u64(fit_doc, "iterations")? {
-        config.iterations = n as usize;
-    }
-    if let Some(n) = opt_u64(fit_doc, "samples_per_iteration")? {
-        config.samples_per_iteration = n as usize;
-    }
-    if let Some(x) = opt_f64(fit_doc, "learning_rate")? {
-        config.learning_rate = x;
-    }
-    if let Some(x) = opt_f64(fit_doc, "fd_epsilon")? {
-        config.fd_epsilon = x;
-    }
-    let params: Vec<ParamSpec> = match fit_doc.get("params") {
-        Some(json) => {
-            let items = json
-                .as_arr()
-                .ok_or_else(|| bad_schema("'fit.params' must be an array"))?;
-            items
-                .iter()
-                .map(decode_param)
-                .collect::<Result<Vec<_>, _>>()?
-        }
-        None => entry
-            .guide_param_defaults
-            .iter()
-            .map(|p| {
-                if p.positive {
-                    ParamSpec::positive(&p.name, p.init)
-                } else {
-                    ParamSpec::unconstrained(&p.name, p.init)
-                }
-            })
-            .collect(),
-    };
-
     // The fit schedules iterations × samples joint executions; the same
     // per-model budget as every other request applies.
-    let cost = (config.iterations as u64).saturating_mul(config.samples_per_iteration as u64);
-    if cost > entry.max_request_executions {
-        return Err(ApiError::new(
-            400,
-            "request.limit",
-            format!(
-                "the fit schedules {cost} joint executions, above this model's per-request limit of {}",
-                entry.max_request_executions
-            ),
-        )
-        .with("limit", Json::Num(entry.max_request_executions as f64)));
-    }
+    let cost = fit_executions(&config);
+    within_budget(&entry, "the fit", cost)?;
 
     let schema: Vec<FitParam> = params
         .iter()
@@ -168,35 +99,29 @@ pub fn fit(app: &Arc<App>, req: &Request) -> Result<Response, ApiError> {
         learning_rate: config.learning_rate,
         fd_epsilon: config.fd_epsilon,
     };
-    let obs_lits: Vec<_> = observations.iter().map(sample_to_artifact_obs).collect();
-    let arg_reals: Vec<f64> = model_args
+    let obs_lits: Vec<_> = fields
+        .observations
         .iter()
-        .map(|v| match v {
-            Value::Real(x) => *x,
-            // real_args only produces Real values.
-            _ => f64::NAN,
-        })
+        .map(sample_to_artifact_obs)
         .collect();
 
     // Fits are bit-deterministic, so the artifact id is computable before
     // the fit runs — an identical request reuses the stored artifact with
-    // zero executions.
-    let id = compute_id(&entry.id, &obs_lits, &arg_reals, &schema, &fit_config, seed);
+    // zero executions.  Like threads and block, the deadline is a serving
+    // knob outside the id: it never changes what a successful fit produces.
+    let id = compute_id(
+        &entry.id,
+        &obs_lits,
+        &fields.model_args,
+        &schema,
+        &fit_config,
+        fields.seed,
+    );
     if let Some(existing) = app.store.get(&id) {
         return Ok(fit_response(200, &existing, false));
     }
 
-    let query = entry
-        .session
-        .query()
-        .observe(observations)
-        .seed(seed)
-        .threads(threads)
-        .block(block)
-        .model_args(model_args)
-        .cancel(cancel)
-        .build()
-        .map_err(|e| from_session_error(SessionError::Query(e)))?;
+    let query = build_query(&entry, &fields, &[])?;
     let started = Instant::now();
     // An expired or drained token aborts fit_vi with a structured error
     // before `store.put` runs — a cancelled fit never persists an
@@ -222,9 +147,9 @@ pub fn fit(app: &Arc<App>, req: &Request) -> Result<Response, ApiError> {
         version: ARTIFACT_FORMAT_VERSION,
         id,
         model_id: entry.id.clone(),
-        seed,
+        seed: fields.seed,
         observations: obs_lits,
-        model_args: arg_reals,
+        model_args: fields.model_args,
         schema,
         config: fit_config,
         params: vi_fit.result.params.clone(),
@@ -278,138 +203,9 @@ pub fn delete_artifact(app: &Arc<App>, id: &str) -> Result<Response, ApiError> {
     Ok(Response::json(200, body.write().expect("finite")))
 }
 
-/// Handles `POST /v1/query` with an `"artifact"` field: draws from the
-/// fitted guide with **zero fit executions**, bit-identical to the fresh
-/// fit-then-draw at the artifact's seed.
-pub(crate) fn artifact_query(
-    app: &Arc<App>,
-    doc: &Json,
-    entry: &Arc<ModelEntry>,
-) -> Result<Response, ApiError> {
-    // The artifact pins the fit's seed, observations, and parameters; a
-    // request that also supplies them is ambiguous and rejected outright.
-    for key in ["method", "seed", "observations", "model_args", "guide_args"] {
-        if doc.get(key).is_some() {
-            return Err(bad_schema(format!(
-                "'{key}' conflicts with 'artifact': the artifact pins the fit's seed, \
-                 observations, and parameters"
-            )));
-        }
-    }
-    let id = doc
-        .get("artifact")
-        .and_then(Json::as_str)
-        .ok_or_else(|| bad_schema("'artifact' must be a string artifact id"))?;
-    let draw_particles = opt_u64(doc, "draw_particles")?.map(|n| n as usize);
-    let threads = opt_u64(doc, "threads")?.unwrap_or(1).max(1) as usize;
-    let block = opt_u64(doc, "block")?
-        .map(|n| (n as usize).max(1))
-        .unwrap_or(app.default_block);
-    let sample_index = opt_u64(doc, "sample_index")?.unwrap_or(0) as usize;
-    let cancel = app.request_token(opt_u64(doc, "deadline_ms")?);
-
-    let artifact = app.store.get(id).ok_or_else(|| unknown_artifact(400, id))?;
-    if artifact.model_id != entry.id {
-        return Err(ApiError::new(
-            400,
-            "artifact.model_mismatch",
-            format!(
-                "artifact '{id}' was fitted for model '{}', not '{}'",
-                artifact.model_id, entry.id
-            ),
-        )
-        .with("artifact_model", Json::str(artifact.model_id.clone()))
-        .with("model", Json::str(entry.id.clone())));
-    }
-    if artifact.version != ARTIFACT_FORMAT_VERSION {
-        return Err(ApiError::new(
-            400,
-            "artifact.version",
-            format!(
-                "artifact '{id}' has format version {}, not the supported version \
-                 {ARTIFACT_FORMAT_VERSION}",
-                artifact.version
-            ),
-        ));
-    }
-    let draws = draw_particles.unwrap_or(VI_POSTERIOR_PARTICLES) as u64;
-    if draws > entry.max_request_executions {
-        return Err(ApiError::new(
-            400,
-            "request.limit",
-            format!(
-                "the draw pass schedules {draws} joint executions, above this model's \
-                 per-request limit of {}",
-                entry.max_request_executions
-            ),
-        )
-        .with("limit", Json::Num(entry.max_request_executions as f64)));
-    }
-
-    // The artifact id is a content hash and fits are deterministic, so
-    // (model, artifact, draw count, statistic) is an injective key.
-    let fingerprint = format!(
-        "model={};artifact={id};d={draws};idx={sample_index}",
-        entry.id
-    );
-    if let Some(body) = app.cache.get(&fingerprint) {
-        return Ok(Response::json(200, body.to_string()).with_header("X-Cache", "hit"));
-    }
-
-    let query = entry
-        .session
-        .query()
-        .threads(threads)
-        .block(block)
-        .cancel(cancel)
-        .vi_from_artifact(&artifact)
-        .map_err(|e| from_session_error(SessionError::Query(e)))?;
-    let started = Instant::now();
-    // An artifact replay skips the fit and only draws — `infer.draw`,
-    // unlike a cold VI query whose run is dominated by `infer.fit`.
-    let posterior = {
-        let _span = ppl_obs::Span::enter(ppl_obs::Phase::InferDraw);
-        query
-            .run_vi_warm(&artifact, draw_particles)
-            .map_err(from_session_error)?
-    };
-    app.store.record_warm_start();
-    entry.record_execution(draws, started.elapsed().as_nanos() as u64);
-
-    // Render through the same response function as a fresh VI query, with
-    // the artifact's provenance standing in for the request fields — this
-    // is what makes the warm body byte-identical to the cold one.
-    let method = Method::Vi {
-        params: artifact
-            .schema
-            .iter()
-            .map(|p| {
-                if p.positive {
-                    ParamSpec::positive(&p.name, p.init)
-                } else {
-                    ParamSpec::unconstrained(&p.name, p.init)
-                }
-            })
-            .collect(),
-        config: ViConfig {
-            iterations: artifact.config.iterations,
-            samples_per_iteration: artifact.config.samples_per_iteration,
-            learning_rate: artifact.config.learning_rate,
-            fd_epsilon: artifact.config.fd_epsilon,
-            ..ViConfig::default()
-        },
-        draw_particles,
-    };
-    let body: Arc<str> =
-        query_response_json(&entry.id, &method, artifact.seed, &posterior, sample_index)
-            .write()
-            .expect("response bodies map non-finite statistics to null")
-            .into();
-    app.cache.insert(fingerprint, Arc::clone(&body));
-    Ok(Response::json(200, body.to_string()).with_header("X-Cache", "miss"))
-}
-
-fn unknown_artifact(status: u16, id: &str) -> ApiError {
+/// The `artifact.not_found` error, a `404` on the artifact routes and a
+/// `400` on an artifact-warm query.
+pub(crate) fn unknown_artifact(status: u16, id: &str) -> ApiError {
     ApiError::new(
         status,
         "artifact.not_found",

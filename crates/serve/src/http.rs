@@ -15,8 +15,8 @@
 //! * **keep-alive** — HTTP/1.1 connections persist by default
 //!   (`Connection: close` honoured, HTTP/1.0 closes unless asked);
 //! * **graceful shutdown** — [`Server::shutdown`] stops accepting, wakes
-//!   the accept loop, lets workers finish their in-flight connections, and
-//!   joins every thread.
+//!   the accept loop, lets workers finish their in-flight requests, closes
+//!   idle keep-alive connections at once, and joins every thread.
 //!
 //! Limits are deliberate: bodies over [`MAX_BODY_BYTES`] get a 413,
 //! `Transfer-Encoding: chunked` requests a 501, reads time out after
@@ -35,7 +35,7 @@
 //! caller-supplied cancellation hook for whatever is still running.
 
 use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
@@ -214,8 +214,9 @@ impl Default for ServerConfig {
 pub struct Server {
     local_addr: SocketAddr,
     stop: Arc<AtomicBool>,
-    /// Connections currently owned by a worker (being served).
-    active: Arc<AtomicUsize>,
+    /// Each worker's connection while it serves one, so stopping can end
+    /// the reads of idle keep-alive connections at once.
+    conns: Arc<[Mutex<Option<Arc<TcpStream>>>]>,
     accept_thread: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
 }
@@ -270,7 +271,9 @@ impl Server {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
-        let active = Arc::new(AtomicUsize::new(0));
+        let conns: Arc<[Mutex<Option<Arc<TcpStream>>>]> = (0..config.workers.max(1))
+            .map(|_| Mutex::new(None))
+            .collect();
         // The channel itself stays unbounded; `queued` enforces the bound
         // from the accept side so shedding never blocks on a lock.
         let (tx, rx) = mpsc::channel::<TcpStream>();
@@ -283,32 +286,36 @@ impl Server {
         let shed_counter = config.shed_counter.clone();
         let recorder = config.recorder.clone();
 
-        let mut worker_handles: Vec<JoinHandle<()>> = (0..config.workers.max(1))
-            .map(|_| {
+        let mut worker_handles: Vec<JoinHandle<()>> = (0..conns.len())
+            .map(|worker| {
                 let rx = Arc::clone(&rx);
                 let handler = Arc::clone(&handler);
                 let stop = Arc::clone(&stop);
                 let queued = Arc::clone(&queued);
-                let active = Arc::clone(&active);
+                let conns = Arc::clone(&conns);
                 let recorder = recorder.clone();
                 std::thread::spawn(move || loop {
                     // Holding the lock only for the recv keeps the other
                     // workers free to take the next connection.
                     let conn = match rx.lock().expect("worker queue poisoned").recv() {
-                        Ok(conn) => conn,
+                        Ok(conn) => Arc::new(conn),
                         Err(_) => return, // accept loop gone: shut down
                     };
                     queued.fetch_sub(1, Ordering::SeqCst);
-                    active.fetch_add(1, Ordering::SeqCst);
+                    // Published before the first read: a stop that misses
+                    // it raised `stop` before this lock, and the loop sees
+                    // that before it reads.
+                    *conns[worker].lock().expect("connection slot poisoned") =
+                        Some(Arc::clone(&conn));
                     serve_connection(
-                        conn,
+                        &conn,
                         &handler,
                         &stop,
                         read_timeout,
                         write_timeout,
                         recorder.as_ref(),
                     );
-                    active.fetch_sub(1, Ordering::SeqCst);
+                    *conns[worker].lock().expect("connection slot poisoned") = None;
                 })
             })
             .collect();
@@ -365,7 +372,7 @@ impl Server {
         Ok(Server {
             local_addr,
             stop,
-            active,
+            conns,
             accept_thread: Some(accept_thread),
             workers: worker_handles,
         })
@@ -379,12 +386,15 @@ impl Server {
 
     /// Connections currently being served (the drain gauge).
     pub fn active_connections(&self) -> usize {
-        self.active.load(Ordering::SeqCst)
+        self.conns
+            .iter()
+            .filter(|conn| conn.lock().expect("connection slot poisoned").is_some())
+            .count()
     }
 
     /// Stops accepting, drains the workers, and joins every thread.
-    /// In-flight requests finish; idle keep-alive connections are closed
-    /// at their next read (bounded by the configured read timeout).
+    /// In-flight requests finish; idle keep-alive connections close at
+    /// once.
     pub fn shutdown(mut self) {
         self.stop_accepting();
         for t in self.workers.drain(..) {
@@ -404,10 +414,10 @@ impl Server {
     pub fn shutdown_with_deadline(mut self, drain: Duration, on_deadline: impl FnOnce()) {
         self.stop_accepting();
         let deadline = Instant::now() + drain;
-        while self.active.load(Ordering::SeqCst) > 0 && Instant::now() < deadline {
+        while self.active_connections() > 0 && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(1));
         }
-        if self.active.load(Ordering::SeqCst) > 0 {
+        if self.active_connections() > 0 {
             on_deadline();
         }
         for t in self.workers.drain(..) {
@@ -415,14 +425,23 @@ impl Server {
         }
     }
 
-    /// Raises the stop flag, wakes the accept loop, and joins it; after
-    /// this returns no new connection will be dispatched.
+    /// Raises the stop flag, wakes the accept loop, joins it, and shuts
+    /// the read half of every served connection; after this returns no new
+    /// connection will be dispatched.
     fn stop_accepting(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
         // Wake the blocking accept with a throwaway connection.
         let _ = TcpStream::connect(self.local_addr);
         if let Some(t) = self.accept_thread.take() {
             let _ = t.join();
+        }
+        // A worker waiting for a keep-alive connection's next request reads
+        // end-of-stream and closes it; one running a handler has read its
+        // request already and still writes the response.
+        for conn in self.conns.iter() {
+            if let Some(conn) = &*conn.lock().expect("connection slot poisoned") {
+                let _ = conn.shutdown(Shutdown::Read);
+            }
         }
     }
 }
@@ -441,25 +460,20 @@ fn shed_connection(conn: TcpStream, retry_after_secs: u64, write_timeout: Durati
     let _ = conn.set_read_timeout(Some(SHED_READ_TIMEOUT));
     let _ = conn.set_write_timeout(Some(write_timeout));
     let _ = conn.set_nodelay(true);
-    let mut reader = BufReader::new(match conn.try_clone() {
-        Ok(c) => c,
-        Err(_) => return,
-    });
     // The outcome is deliberately ignored: a malformed or half-sent
     // request still gets the 429 over whatever was drained.
-    let _ = read_request(&mut reader);
-    let mut writer = conn;
+    let _ = read_request(&mut BufReader::new(&conn));
     let body = format!(
         "{{\"error\":{{\"code\":\"server.overloaded\",\"message\":\"admission queue full; retry after {retry_after_secs} second(s)\"}}}}"
     );
     let response =
         Response::json(429, body).with_header("Retry-After", &retry_after_secs.to_string());
-    let _ = write_response(&mut writer, &response, false);
+    let _ = write_response(&conn, &response, false);
 }
 
 /// Serves one connection until it closes, errors, or the server stops.
 fn serve_connection(
-    conn: TcpStream,
+    conn: &TcpStream,
     handler: &Handler,
     stop: &AtomicBool,
     read_timeout: Duration,
@@ -469,11 +483,7 @@ fn serve_connection(
     let _ = conn.set_read_timeout(Some(read_timeout));
     let _ = conn.set_write_timeout(Some(write_timeout));
     let _ = conn.set_nodelay(true);
-    let mut reader = BufReader::new(match conn.try_clone() {
-        Ok(c) => c,
-        Err(_) => return,
-    });
-    let mut writer = conn;
+    let mut reader = BufReader::new(conn);
     for served in 0..MAX_KEEPALIVE_REQUESTS {
         if stop.load(Ordering::SeqCst) {
             return;
@@ -485,19 +495,15 @@ fn serve_connection(
             Ok(Some(parsed)) => parsed,
             Ok(None) => return, // clean EOF between requests
             Err(ReadError::BadRequest(msg)) => {
-                let _ = write_response(&mut writer, &Response::text(400, &msg), false);
+                let _ = write_response(conn, &Response::text(400, &msg), false);
                 return;
             }
             Err(ReadError::TooLarge) => {
-                let _ = write_response(
-                    &mut writer,
-                    &Response::text(413, "request body too large"),
-                    false,
-                );
+                let _ = write_response(conn, &Response::text(413, "request body too large"), false);
                 return;
             }
             Err(ReadError::Unsupported(msg)) => {
-                let _ = write_response(&mut writer, &Response::text(501, &msg), false);
+                let _ = write_response(conn, &Response::text(501, &msg), false);
                 return;
             }
             Err(ReadError::Io) => return,
@@ -535,7 +541,7 @@ fn serve_connection(
             && !stop.load(Ordering::SeqCst)
             && !response_requests_close(&response);
         let write_started = tracing.then(Instant::now);
-        let write_ok = write_response(&mut writer, &response, keep_alive).is_ok();
+        let write_ok = write_response(conn, &response, keep_alive).is_ok();
         // Attribute the socket write to the trace the handler just
         // finished (its identity is handed off thread-locally).
         if let (Some(started), Some(rec)) = (write_started, recorder) {
@@ -567,7 +573,7 @@ enum ReadError {
 /// Reads one `\n`-terminated head line with [`MAX_HEAD_LINE_BYTES`]
 /// enforced; `Ok(None)` on immediate EOF.  The advertised body limit is
 /// worthless if the *head* can grow a buffer without bound.
-fn read_head_line(reader: &mut BufReader<TcpStream>) -> Result<Option<String>, ReadError> {
+fn read_head_line(reader: &mut BufReader<&TcpStream>) -> Result<Option<String>, ReadError> {
     let mut line = String::new();
     match reader
         .by_ref()
@@ -588,7 +594,7 @@ fn read_head_line(reader: &mut BufReader<TcpStream>) -> Result<Option<String>, R
 }
 
 /// Reads one request; `Ok(None)` on clean EOF before a request line.
-fn read_request(reader: &mut BufReader<TcpStream>) -> Result<Option<(Request, bool)>, ReadError> {
+fn read_request(reader: &mut BufReader<&TcpStream>) -> Result<Option<(Request, bool)>, ReadError> {
     let line = match read_head_line(reader)? {
         Some(line) => line,
         None => return Ok(None),
@@ -690,7 +696,7 @@ fn response_requests_close(response: &Response) -> bool {
         .any(|(k, v)| k.eq_ignore_ascii_case("connection") && v.eq_ignore_ascii_case("close"))
 }
 
-fn write_response(writer: &mut TcpStream, response: &Response, keep_alive: bool) -> io::Result<()> {
+fn write_response(mut writer: &TcpStream, response: &Response, keep_alive: bool) -> io::Result<()> {
     let mut head = format!(
         "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\n",
         response.status,

@@ -25,6 +25,7 @@
 //! discipline, published as API metadata.
 
 use guide_ppl::Session;
+use ppl_inference::ParamSpec;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -38,16 +39,15 @@ pub const DEFAULT_USER_MODEL_CAPACITY: usize = 32;
 /// a tenth of it, folded into the same accounting in `decode_request`.
 pub const MAX_USER_MODEL_EXECUTIONS: u64 = crate::api::MAX_REQUEST_EXECUTIONS / 10;
 
-/// A variational parameter default for a registry model's guide (mirrors
-/// `ppl_models::GuideParam`, owned).
-#[derive(Debug, Clone)]
-pub struct ParamDefault {
-    /// Parameter name.
-    pub name: String,
-    /// Initial value.
-    pub init: f64,
-    /// Whether the parameter is constrained positive.
-    pub positive: bool,
+/// A variational parameter from its `(name, init, positive)` triple: the
+/// one constructor for registry defaults, request `params` and the schemas
+/// stored fits carry.
+pub(crate) fn param_spec(name: impl Into<String>, init: f64, positive: bool) -> ParamSpec {
+    ParamSpec {
+        name: name.into(),
+        init,
+        positive,
+    }
 }
 
 /// Where a model entered the registry.
@@ -94,9 +94,10 @@ pub struct ModelEntry {
     pub default_observation_count: usize,
     /// The algorithm the paper's evaluation uses for this model.
     pub default_method: &'static str,
-    /// Default guide arguments (the registry's initial variational
-    /// parameter values), used when a request supplies none.
-    pub guide_param_defaults: Vec<ParamDefault>,
+    /// The registry's initial variational parameters: a VI request's
+    /// default `params`, and (their values) the guide arguments of an
+    /// IS/MH request that supplies none.
+    pub guide_param_defaults: Vec<ParamSpec>,
     /// Whether the model is a builtin or was submitted by a user.
     pub origin: ModelOrigin,
     /// Per-request execution budget for this model (folded into the
@@ -218,11 +219,7 @@ impl Registry {
                 guide_param_defaults: b
                     .guide_params
                     .iter()
-                    .map(|p| ParamDefault {
-                        name: p.name.to_string(),
-                        init: p.init,
-                        positive: p.positive,
-                    })
+                    .map(|p| param_spec(p.name, p.init, p.positive))
                     .collect(),
                 session: Arc::new(session),
                 origin: ModelOrigin::Builtin,

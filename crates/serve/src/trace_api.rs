@@ -14,17 +14,19 @@
 use crate::api::{ApiError, App};
 use crate::http::Response;
 use crate::json::Json;
-use ppl_obs::{CompletedTrace, PHASES};
+use ppl_obs::{CompletedTrace, NUM_PHASES, PHASES};
 
-fn phase_ms(trace: &CompletedTrace) -> Json {
+/// Renders per-phase span nanoseconds as the `"spans_ms"` object of a
+/// trace: each timed phase in milliseconds, untimed phases omitted.
+pub(crate) fn spans_ms(nanos: &[u64; NUM_PHASES]) -> Json {
     Json::Obj(
         PHASES
             .iter()
-            .filter(|phase| trace.phase_nanos[phase.index()] > 0)
+            .filter(|phase| nanos[phase.index()] > 0)
             .map(|phase| {
                 (
                     phase.as_str().to_string(),
-                    Json::num_or_null(trace.phase_nanos[phase.index()] as f64 / 1e6),
+                    Json::num_or_null(nanos[phase.index()] as f64 / 1e6),
                 )
             })
             .collect(),
@@ -41,7 +43,7 @@ fn trace_json(trace: &CompletedTrace) -> Json {
             "total_ms".to_string(),
             Json::num_or_null(trace.total_nanos as f64 / 1e6),
         ),
-        ("spans_ms".to_string(), phase_ms(trace)),
+        ("spans_ms".to_string(), spans_ms(&trace.phase_nanos)),
     ];
     if !trace.engine.is_empty() {
         fields.push((

@@ -14,7 +14,9 @@
 //!   refitting;
 //! * artifact errors are structured 400s/404s with stable codes
 //!   (`artifact.not_found`, `artifact.model_mismatch`), and `/v1/batch`
-//!   rejects artifact requests outright.
+//!   rejects artifact requests outright;
+//! * every single-fault rejection of a `/v1/fit` or an artifact-warm query
+//!   keeps its exact status, code, message and details.
 //!
 //! Every fit count is read from the serving app's own execution ledger
 //! (`App::vi_fit_executions`) while a neighbour app in the same process
@@ -22,8 +24,8 @@
 
 mod common;
 
-use ppl_serve::http::{ClientConn, ClientResponse};
-use ppl_serve::{App, Json, Registry, Server};
+use ppl_serve::http::{ClientConn, ClientResponse, Handler};
+use ppl_serve::{App, AppLimits, Json, Registry, Request, Server};
 use ppl_store::Store;
 use std::path::Path;
 use std::sync::Arc;
@@ -31,7 +33,13 @@ use std::sync::Arc;
 fn boot(dir: &Path) -> (Arc<App>, Server) {
     let registry = Registry::from_benchmarks();
     let store = Arc::new(Store::open(dir, 16).expect("store opens"));
-    let app = App::with_store(registry, 64, ppl_inference::DEFAULT_BLOCK, store);
+    let app = App::with_limits(
+        registry,
+        64,
+        ppl_inference::DEFAULT_BLOCK,
+        store,
+        AppLimits::default(),
+    );
     let server = Server::bind("127.0.0.1:0", 2, app.handler()).expect("bind port 0");
     (app, server)
 }
@@ -205,9 +213,6 @@ fn artifacts_amortize_fits_across_queries_and_restarts() {
     assert_eq!(status, 404);
     assert_eq!(error_code(&response), "artifact.not_found");
 
-    // Close the keep-alive connection first, or `shutdown` waits out the
-    // worker's read timeout.
-    drop(conn);
     server.shutdown();
     drop(app);
 
@@ -243,4 +248,200 @@ fn artifacts_amortize_fits_across_queries_and_restarts() {
     drop(conn);
     server2.shutdown();
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Posts `body` to `path` in process and asserts the whole error
+/// response: status, code, message and every detail.
+fn assert_rejects(handler: &Handler, path: &str, body: &str, status: u16, error: &str) {
+    let response = handler(&Request {
+        method: "POST".into(),
+        path: path.into(),
+        query: None,
+        headers: Vec::new(),
+        body: body.as_bytes().to_vec(),
+    });
+    assert_eq!(
+        (response.status, String::from_utf8_lossy(&response.body)),
+        (status, format!(r#"{{"error":{error}}}"#).into()),
+        "{body}"
+    );
+}
+
+/// A schema error body for `message`.
+fn schema(message: &str) -> String {
+    format!(r#"{{"code":"request.schema","message":"{message}"}}"#)
+}
+
+#[test]
+fn fit_rejects_each_malformed_field_with_a_stable_error() {
+    let app = App::new(Registry::from_benchmarks(), 16);
+    let handler = app.handler();
+    let fit = |fields: &str| format!(r#"{{"model":"weight","observations":[9.0,9.0],{fields}}}"#);
+    let rejects = |body: &str, status: u16, error: &str| {
+        assert_rejects(&handler, "/v1/fit", body, status, error)
+    };
+    rejects(
+        r#"{"model":"weight","observations":5}"#,
+        400,
+        &schema("'observations' must be an array"),
+    );
+    rejects(
+        r#"{"model":"weight","observations":[9.0,"x"]}"#,
+        400,
+        &schema("observation 1: expected a boolean, a number, or a typed object"),
+    );
+    rejects(
+        r#"{"model":"weight","observations":[true,true]}"#,
+        400,
+        r#"{"code":"obs.carrier","message":"invalid observations (2 supplied): obs.carrier: observation 0 has the wrong carrier: the protocol expects real, found bool value true; the model's observation protocol is real /\\ real /\\ 1","position":0}"#,
+    );
+    rejects(
+        &fit(r#""seed":-1"#),
+        400,
+        &schema("'seed' must be a non-negative integer"),
+    );
+    rejects(
+        &fit(r#""threads":"2""#),
+        400,
+        &schema("'threads' must be a non-negative integer"),
+    );
+    rejects(
+        &fit(r#""block":-1"#),
+        400,
+        &schema("'block' must be a non-negative integer"),
+    );
+    rejects(
+        &fit(r#""deadline_ms":"soon""#),
+        400,
+        &schema("'deadline_ms' must be a non-negative integer"),
+    );
+    rejects(
+        &fit(r#""model_args":[1.0,"x"]"#),
+        400,
+        &schema("'model_args' must be an array of numbers"),
+    );
+    rejects(&fit(r#""fit":5"#), 400, &schema("'fit' must be an object"));
+    rejects(
+        &fit(r#""fit":{"params":5}"#),
+        400,
+        &schema("'fit.params' must be an array"),
+    );
+    rejects(
+        &fit(r#""fit":{"params":[{"init":0.0}]}"#),
+        400,
+        &schema("variational params need a string 'name'"),
+    );
+    rejects(
+        &fit(r#""fit":{"params":[{"name":"mu"}]}"#),
+        400,
+        &schema("variational params need a numeric 'init'"),
+    );
+    rejects(
+        &fit(r#""fit":{"learning_rate":"fast"}"#),
+        400,
+        &schema("'learning_rate' must be a number"),
+    );
+    rejects(
+        &fit(r#""fit":{"iterations":1000001,"samples_per_iteration":1}"#),
+        400,
+        r#"{"code":"request.limit","message":"the fit schedules 1000001 joint executions, above this model's per-request limit of 1000000","limit":1000000}"#,
+    );
+    rejects(
+        r#"{"model":"nope","observations":[9.0,9.0]}"#,
+        404,
+        r#"{"code":"model.unknown","message":"no model 'nope' in the registry"}"#,
+    );
+    assert_eq!(app.store.len(), 0, "no rejected fit persists an artifact");
+    assert_eq!(app.vi_fit_executions(), 0, "no rejected fit runs");
+}
+
+#[test]
+fn artifact_queries_reject_each_malformed_field_with_a_stable_error() {
+    let app = App::new(Registry::from_benchmarks(), 16);
+    let handler = app.handler();
+    let fitted = handler(&Request {
+        method: "POST".into(),
+        path: "/v1/fit".into(),
+        query: None,
+        headers: Vec::new(),
+        body: br#"{"model":"weight","observations":[9.0,9.0],"fit":{"iterations":5,"samples_per_iteration":2}}"#.to_vec(),
+    });
+    assert_eq!(
+        fitted.status,
+        201,
+        "{}",
+        String::from_utf8_lossy(&fitted.body)
+    );
+    let id = parse(&fitted.body)
+        .get("id")
+        .and_then(Json::as_str)
+        .unwrap()
+        .to_string();
+    let rejects = |body: &str, status: u16, error: &str| {
+        assert_rejects(&handler, "/v1/query", body, status, error)
+    };
+    for (key, value) in [
+        ("method", r#"{"algorithm":"vi"}"#),
+        ("seed", "7"),
+        ("observations", "[9.0,9.0]"),
+        ("model_args", "[]"),
+        ("guide_args", "[1.0,1.0]"),
+    ] {
+        rejects(
+            &format!(r#"{{"model":"weight","artifact":"{id}","{key}":{value}}}"#),
+            400,
+            &schema(&format!(
+                "'{key}' conflicts with 'artifact': the artifact pins the fit's seed, \
+                 observations, and parameters"
+            )),
+        );
+    }
+    rejects(
+        r#"{"model":"weight","artifact":5}"#,
+        400,
+        &schema("'artifact' must be a string artifact id"),
+    );
+    for key in [
+        "threads",
+        "block",
+        "sample_index",
+        "deadline_ms",
+        "draw_particles",
+    ] {
+        rejects(
+            &format!(r#"{{"model":"weight","artifact":"{id}","{key}":"x"}}"#),
+            400,
+            &schema(&format!("'{key}' must be a non-negative integer")),
+        );
+    }
+    rejects(
+        r#"{"model":"weight","artifact":"a-0000000000000000"}"#,
+        400,
+        r#"{"code":"artifact.not_found","message":"no artifact 'a-0000000000000000' in the store"}"#,
+    );
+    rejects(
+        &format!(r#"{{"model":"ex-1","artifact":"{id}"}}"#),
+        400,
+        &format!(
+            r#"{{"code":"artifact.model_mismatch","message":"artifact '{id}' was fitted for model 'weight', not 'ex-1'","artifact_model":"weight","model":"ex-1"}}"#
+        ),
+    );
+    rejects(
+        &format!(r#"{{"model":"weight","artifact":"{id}","draw_particles":1000001}}"#),
+        400,
+        r#"{"code":"request.limit","message":"the draw pass schedules 1000001 joint executions, above this model's per-request limit of 1000000","limit":1000000}"#,
+    );
+    rejects(
+        &format!(r#"{{"model":"weight","artifact":"{id}","draw_particles":0}}"#),
+        400,
+        r#"{"code":"method.invalid","message":"method.invalid: invalid method: the VI fitted-guide draw pass needs at least one particle"}"#,
+    );
+    assert_rejects(
+        &handler,
+        "/v1/batch",
+        &format!(r#"{{"model":"weight","artifact":"{id}","observation_sets":[[9.0,9.0]]}}"#),
+        400,
+        &schema("'artifact' is not supported in /v1/batch; use /v1/query"),
+    );
+    assert_eq!(app.cache.len(), 0, "no rejected query reaches the cache");
 }

@@ -73,8 +73,5 @@ fn warm_cache_hits_are_byte_identical_and_run_zero_particles() {
         .unwrap();
     assert!(mean.is_finite());
     assert_eq!(app.cache.hits(), 2);
-    // Close the keep-alive connection first, or `shutdown` waits out the
-    // worker's read timeout.
-    drop(conn);
     server.shutdown();
 }

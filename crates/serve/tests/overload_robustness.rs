@@ -11,12 +11,14 @@
 //! - completed responses stay byte-identical with or without a deadline
 //!   attached (the deadline is excluded from the cache fingerprint);
 //! - drain turns new work into retryable, connection-closing `503`s and
-//!   cancels in-flight inference at its next block poll.
+//!   cancels in-flight inference at its next block poll;
+//! - stopping closes idle keep-alive connections at once, while the
+//!   in-flight request finishes.
 
 use ppl_serve::http::{ClientConn, Handler, Response, Server, ServerConfig};
 use ppl_serve::{App, AppLimits, Json, Registry};
 use std::io::{Read, Write};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -219,7 +221,6 @@ fn per_endpoint_caps_shed_queries_without_touching_health() {
         Some(0.0),
         "slots leak"
     );
-    drop(conn); // or `shutdown` waits out the worker's read timeout
     server.shutdown();
 }
 
@@ -266,7 +267,6 @@ fn drain_rejects_new_work_and_cancels_in_flight_inference() {
     let mut fresh = ClientConn::connect(addr).unwrap();
     assert_eq!(fresh.send("GET", "/healthz", None).unwrap().0, 200);
 
-    drop(fresh); // or `shutdown` waits out the worker's read timeout
     server.shutdown();
 }
 
@@ -306,6 +306,55 @@ fn slow_loris_client_is_disconnected_by_the_read_timeout() {
     let mut conn = ClientConn::connect(addr).unwrap();
     assert_eq!(conn.send("GET", "/healthz", None).unwrap().0, 200);
     server.shutdown();
+}
+
+#[test]
+fn idle_keep_alive_connections_hold_neither_shutdown_nor_drain() {
+    for drain in [false, true] {
+        let (_app, server) = boot(4, 2);
+        let mut idle = ClientConn::connect(server.local_addr()).unwrap();
+        assert_eq!(idle.send("GET", "/healthz", None).unwrap().0, 200);
+        let fired = AtomicBool::new(false);
+        let started = Instant::now();
+        if drain {
+            server.shutdown_with_deadline(Duration::from_secs(5), || {
+                fired.store(true, Ordering::SeqCst)
+            });
+        } else {
+            server.shutdown();
+        }
+        let elapsed = started.elapsed();
+        assert!(
+            elapsed < Duration::from_secs(1),
+            "stopping with an idle connection open took {elapsed:?} (drain: {drain})"
+        );
+        assert!(
+            !fired.load(Ordering::SeqCst),
+            "an idle connection is no active work, so the drain deadline never passes"
+        );
+        assert!(
+            idle.send("GET", "/healthz", None).is_err(),
+            "the server closed the idle connection"
+        );
+    }
+}
+
+#[test]
+fn shutdown_lets_the_in_flight_request_finish() {
+    let (_app, server) = boot(4, 3);
+    let addr = server.local_addr();
+    let inflight = std::thread::spawn(move || {
+        let mut conn = ClientConn::connect(addr).unwrap();
+        let body = SLOW_QUERY
+            .replace(",\n    \"deadline_ms\":5", "")
+            .replace("400000", "100000");
+        conn.send("POST", "/v1/query", Some(&body)).unwrap()
+    });
+    // The polling connection stays open and idle while the server stops.
+    await_inflight_query(&mut ClientConn::connect(addr).unwrap());
+    server.shutdown();
+    let (status, _, body) = inflight.join().unwrap();
+    assert_eq!(status, 200, "{}", String::from_utf8_lossy(&body));
 }
 
 #[cfg(feature = "faults")]
@@ -379,9 +428,6 @@ mod faults {
         let unstalled = query.replace("\"deadline_ms\":40", "\"deadline_ms\":5000");
         let (status, _, body) = other.send("POST", "/v1/query", Some(&unstalled)).unwrap();
         assert_eq!(status, 200, "{}", String::from_utf8_lossy(&body));
-        // Close the keep-alive connections first, or each `shutdown`
-        // waits out its worker's read timeout.
-        drop((other, conn));
         other_server.shutdown();
         server.shutdown();
     }

@@ -288,3 +288,94 @@ fn disabling_the_recorder_removes_ids_and_traces() {
     ));
     assert_eq!(header(&diag, "X-Cache"), Some("hit"));
 }
+
+#[test]
+fn artifact_queries_are_traced_like_cold_ones() {
+    let app = App::new(Registry::from_benchmarks(), 32);
+    let handler = app.handler();
+    let fitted = handler(&request(
+        "POST",
+        "/v1/fit",
+        &[],
+        r#"{"model":"weight","observations":[9.0,9.0],"seed":3,
+            "fit":{"iterations":10,"samples_per_iteration":4}}"#,
+    ));
+    assert_eq!(
+        fitted.status,
+        201,
+        "{}",
+        String::from_utf8_lossy(&fitted.body)
+    );
+    let artifact = body_json(&fitted)
+        .get("id")
+        .and_then(Json::as_str)
+        .expect("artifact id")
+        .to_string();
+    let warm = format!(r#"{{"model":"weight","artifact":"{artifact}","draw_particles":300}}"#);
+    let with_diag = warm.replacen('{', r#"{"diagnostics":true,"#, 1);
+
+    // Cold, with diagnostics: the clean body plus a trace block that
+    // reports the miss and this run's own engine counts.
+    let cold = handler(&request("POST", "/v1/query", &[], &with_diag));
+    assert_eq!(cold.status, 200, "{}", String::from_utf8_lossy(&cold.body));
+    assert_eq!(header(&cold, "X-Cache"), Some("miss"));
+    let trace = body_json(&cold)
+        .get("trace")
+        .cloned()
+        .expect("an artifact query honours diagnostics");
+    assert_eq!(trace.get("cache").and_then(Json::as_str), Some("miss"));
+    assert_eq!(
+        trace
+            .get("engine")
+            .and_then(|e| e.get("num_draws"))
+            .and_then(Json::as_f64),
+        Some(300.0),
+        "the engine block counts the draw pass"
+    );
+    let metrics = body_json(&handler(&request("GET", "/metrics", &[], "")));
+    assert!(
+        metrics
+            .get("engine_quality")
+            .and_then(|q| q.get("min_ess"))
+            .and_then(Json::as_f64)
+            .is_some_and(f64::is_finite),
+        "the artifact query fed the quality gauge"
+    );
+
+    // Repeated: a hit, which ran no engine.
+    let hit = handler(&request("POST", "/v1/query", &[], &with_diag));
+    assert_eq!(header(&hit, "X-Cache"), Some("hit"));
+    let hit_trace = body_json(&hit).get("trace").cloned().expect("trace block");
+    assert_eq!(hit_trace.get("cache").and_then(Json::as_str), Some("hit"));
+    assert_eq!(hit_trace.get("engine"), Some(&Json::Null));
+    let clean = handler(&request("POST", "/v1/query", &[], &warm));
+    assert_eq!(
+        strip_trace(std::str::from_utf8(&cold.body).unwrap()),
+        String::from_utf8(clean.body).unwrap(),
+        "the spliced response is the clean cached body plus a trailer"
+    );
+
+    // The cold request's recorded trace carries every phase a cold
+    // query's does.
+    let id = header(&cold, "X-Ppl-Trace-Id").expect("trace id");
+    let doc = body_json(&handler(&request(
+        "GET",
+        &format!("/v1/trace/{id}"),
+        &[],
+        "",
+    )));
+    assert_eq!(doc.get("cache").and_then(Json::as_str), Some("miss"));
+    assert_eq!(
+        doc.get("engine")
+            .and_then(|e| e.get("num_draws"))
+            .and_then(Json::as_f64),
+        Some(300.0)
+    );
+    let spans = doc.get("spans_ms").expect("per-phase spans");
+    for phase in ["cache.lookup", "validate", "infer.draw", "json.encode"] {
+        assert!(
+            spans.get(phase).and_then(Json::as_f64).is_some(),
+            "{phase} was timed: {spans:?}"
+        );
+    }
+}
