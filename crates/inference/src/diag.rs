@@ -42,10 +42,6 @@ pub struct Diagnostics {
     /// plan gave up, or a block nested past the executor's guard); zero
     /// when every block vectorised.
     pub scalar_lanes: u64,
-    /// Per-lane expressions this run's block executor evaluated through
-    /// the evaluator rather than a compiled lane program (one per lane per
-    /// site); zero when every expression compiled.
-    pub evaluator_lanes: u64,
 }
 
 #[cfg(test)]
@@ -65,7 +61,6 @@ mod tests {
             counts: RunCounts {
                 cancel_checks: 17,
                 scalar_lanes: 3,
-                evaluator_lanes: 4,
                 ..RunCounts::default()
             },
         };
@@ -78,7 +73,6 @@ mod tests {
         assert!(diag.elbo_tail.is_empty());
         assert_eq!(diag.cancel_checks, 17);
         assert_eq!(diag.scalar_lanes, 3);
-        assert_eq!(diag.evaluator_lanes, 4);
     }
 
     #[test]
@@ -106,7 +100,6 @@ mod tests {
             lane_splits: n,
             lane_reconverges: n,
             scalar_lanes: n,
-            evaluator_lanes: n,
         };
         let posterior = ViPosterior {
             fit: ViResult {
@@ -129,6 +122,5 @@ mod tests {
             (7, 7, 7)
         );
         assert_eq!(diag.scalar_lanes, 7);
-        assert_eq!(diag.evaluator_lanes, 7);
     }
 }

@@ -224,7 +224,6 @@ pub trait Posterior {
             lane_reconverges: counts.lane_reconverges,
             cancel_checks: counts.cancel_checks,
             scalar_lanes: counts.scalar_lanes,
-            evaluator_lanes: counts.evaluator_lanes,
         }
     }
 

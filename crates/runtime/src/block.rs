@@ -44,16 +44,15 @@
 //!    enclosing call's return.  Per-lane expressions (fork predicates,
 //!    bound values, distribution parameters) run as typed [`LaneProg`]s:
 //!    the first-order base-typed fragment compiled to postfix, every
-//!    operand's type fixed at plan time.  A shape no lane program
-//!    expresses keeps the evaluator, counted in
-//!    [`RunCounts::evaluator_lanes`].
+//!    operand's type fixed at plan time.
 //! 4. **Fallback.**  A [`BlockPlan`] holds at most [`ARM_BUDGET`] planned
 //!    arms; lane-dependent branches that never reach a call or return
 //!    (arms do not reconverge after a fork) double the paths per branch
 //!    and can exhaust it.  That, or any other shape the planner cannot
-//!    vectorise (closures crossing sites or calls, opaque per-lane
-//!    distributions, callees whose model and guide sides finish apart, the
-//!    fuel and slot guards), caches a scalar verdict
+//!    vectorise (per-lane expressions outside the lane-program fragment,
+//!    closures crossing sites or calls, opaque per-lane distributions,
+//!    callees whose model and guide sides finish apart, the fuel and slot
+//!    guards), caches a scalar verdict
 //!    ([`JointScratch::plan_verdict`]): this block and every later one run
 //!    each lane through the scalar coroutine path with the *same* per-lane
 //!    RNG substream — results are bit-identical either way, which the
@@ -157,7 +156,8 @@ enum Carrier {
     Typed(Ty),
     /// Lanes may hold different types; the slot's tag column records each
     /// lane's.  Slots a call fills carry the procedure's declared type,
-    /// which lane programs expect there (`None`: an evaluator result).
+    /// which lane programs expect there (`None`: a function or
+    /// distribution type, which no lane program reads).
     Dyn(Option<Ty>),
 }
 
@@ -285,81 +285,43 @@ enum LaneDist {
     /// A constructor whose parameters depend on lane values, each compiled
     /// to a real-valued lane program.
     Params { ctor: Ctor, args: Box<[LaneProg]> },
-    /// Parameters no lane program expresses: the evaluator builds each
-    /// lane's distribution.
-    Eval(Fallback<DistExpr>),
 }
 
 impl LaneDist {
     /// Compiles a constructor's parameters, read through `as_f64` as
     /// `eval_dist_in` reads them.
-    fn compile(d: &DistExpr, binds: Vec<(Ident, SymValue)>, carriers: &[Carrier]) -> LaneDist {
+    fn compile(
+        d: &DistExpr,
+        binds: &[(Ident, SymValue)],
+        carriers: &[Carrier],
+    ) -> Result<LaneDist, Bail> {
         let args = (d.args().into_iter())
             .map(|a| {
-                let mut c = LaneCompiler::new(&binds, carriers);
+                let mut c = LaneCompiler::new(binds, carriers);
                 let ty = c.expr(a)?;
                 c.real(ty, 0)?;
                 c.finish(Ty::Real)
             })
-            .collect::<Option<_>>();
-        let Some(args) = args else {
-            return LaneDist::Eval(Fallback {
-                expr: d.clone(),
-                binds,
-            });
-        };
-        LaneDist::Params {
+            .collect::<Option<_>>()
+            .ok_or(OUTSIDE_FRAGMENT)?;
+        Ok(LaneDist::Params {
             ctor: Ctor::of(d),
             args,
-        }
+        })
     }
 
     fn carrier(&self) -> Carrier {
         match self {
             LaneDist::Const(d) => class_of_kind(d.kind()),
             LaneDist::Params { ctor, .. } => ctor.carrier(),
-            LaneDist::Eval(f) => Ctor::of(&f.expr).carrier(),
         }
     }
 }
 
-/// A per-lane computation left to the evaluator: the expression and the
-/// symbolic values of its free variables, bound afresh for every lane.
-#[derive(Debug, Clone)]
-struct Fallback<E> {
-    expr: E,
-    binds: Vec<(Ident, SymValue)>,
-}
-
-/// A per-lane expression: its lane program, or the evaluator for a shape
-/// no lane program expresses (an expression-level `let`, a lambda
-/// application, an operand stack deeper than [`LANE_DEPTH`]).
-#[derive(Debug, Clone)]
-enum LaneExpr {
-    Prog(LaneProg),
-    Eval(Fallback<Expr>),
-}
-
-impl LaneExpr {
-    fn compile(e: &Expr, binds: Vec<(Ident, SymValue)>, carriers: &[Carrier]) -> LaneExpr {
-        let mut c = LaneCompiler::new(&binds, carriers);
-        match c.expr(e).and_then(|ty| c.finish(ty)) {
-            Some(prog) => LaneExpr::Prog(prog),
-            None => LaneExpr::Eval(Fallback {
-                expr: e.clone(),
-                binds,
-            }),
-        }
-    }
-
-    /// The carrier of a slot holding its lane results.
-    fn carrier(&self) -> Carrier {
-        match self {
-            LaneExpr::Prog(p) => Carrier::Typed(p.ty),
-            LaneExpr::Eval(_) => Carrier::Dyn(None),
-        }
-    }
-}
+/// Why a per-lane expression no [`LaneProg`] expresses (an
+/// expression-level `let`, a lambda application, an operand stack deeper
+/// than [`LANE_DEPTH`], operands of the wrong type) runs scalar.
+const OUTSIDE_FRAGMENT: Bail = Bail("per-lane expression outside the lane-program fragment");
 
 /// One instruction of a [`LaneProg`].  Operands sit on the stack encoded
 /// as in the slot columns, and each instruction knows their types.
@@ -405,12 +367,26 @@ const LANE_DEPTH: usize = 8;
 /// dynamic slot holds another type than its procedure declares,
 /// [`LaneProg::eval`] returns `None` and the block reruns scalar, which
 /// reports the exact error.  Shapes that always error (`-` on naturals,
-/// operands of the wrong type) do not compile.
+/// operands of the wrong type) do not compile; like every other shape
+/// outside the fragment, they make the plan give up.
 #[derive(Debug, Clone)]
 struct LaneProg {
     code: Box<[LaneOp]>,
     /// The type of every lane's result.
     ty: Ty,
+}
+
+impl LaneProg {
+    /// Compiles `e` over the symbolic values `binds` of its free
+    /// variables, or gives up on the plan.
+    fn compile(
+        e: &Expr,
+        binds: &[(Ident, SymValue)],
+        carriers: &[Carrier],
+    ) -> Result<LaneProg, Bail> {
+        let mut c = LaneCompiler::new(binds, carriers);
+        (c.expr(e).and_then(|ty| c.finish(ty))).ok_or(OUTSIDE_FRAGMENT)
+    }
 }
 
 /// Compiles one expression into a [`LaneProg`], tracking the stack depth.
@@ -672,17 +648,18 @@ enum Op {
     },
     /// Accumulate a compile-time-known log-density term.
     ScoreConst { model: bool, w: f64 },
-    /// Evaluate an expression per lane into `slot`.
-    Eval { expr: LaneExpr, slot: usize },
+    /// Evaluate an expression per lane into `slot`, whose carrier is the
+    /// program's type.
+    Eval { prog: LaneProg, slot: usize },
     /// Record a `Fold` marker in each lane's trace.
     Fold,
     /// Record a constant branch direction in each lane's trace.
     DirConst { provider: bool, selection: bool },
-    /// Evaluate `pred` per lane, record the direction message (when the
-    /// branch is on the latent channel), and split the lane set between the
-    /// two arms.  Always the last op of its arm.
+    /// Evaluate the Boolean `pred` per lane, record the direction message
+    /// (when the branch is on the latent channel), and split the lane set
+    /// between the two arms.  Always the last op of its arm.
     Fork {
-        pred: LaneExpr,
+        pred: LaneProg,
         /// `Some(provider)` when a `DirP`/`DirC` message must be recorded.
         msg: Option<bool>,
         /// Indices of the two arms in [`BlockPlan::arms`].
@@ -851,7 +828,7 @@ enum SymPending {
 #[derive(Debug, Clone)]
 enum SymBool {
     Const(bool),
-    Lane(LaneExpr),
+    Lane(LaneProg),
 }
 
 /// A symbolic suspension, mirroring [`crate::coroutine::Suspend`].
@@ -912,7 +889,7 @@ enum SymResume {
 enum LazyVal {
     Const(Value),
     Slot(usize),
-    Lane(LaneExpr),
+    Lane(LaneProg),
 }
 
 impl SymCo {
@@ -1019,11 +996,8 @@ fn sym_eval_lazy(cx: &mut PlanCx<'_>, co: &SymCo, e: &Expr) -> Result<LazyVal, H
         _ => {}
     }
     if let Some(binds) = capture(cx, co, e.free_vars())? {
-        return Ok(LazyVal::Lane(LaneExpr::compile(
-            e,
-            binds,
-            &cx.plan.carriers,
-        )));
+        let prog = LaneProg::compile(e, &binds, &cx.plan.carriers)?;
+        return Ok(LazyVal::Lane(prog));
     }
     match eval_expr_in(&mut cx.scratch, e) {
         Ok(Value::Closure { .. }) => Err(Halt::Bail(Bail("closure crosses a site"))),
@@ -1033,8 +1007,8 @@ fn sym_eval_lazy(cx: &mut PlanCx<'_>, co: &SymCo, e: &Expr) -> Result<LazyVal, H
     }
 }
 
-/// Strict symbolic evaluation: per-lane computations get a dynamic slot and
-/// an [`Op::Eval`].
+/// Strict symbolic evaluation: per-lane computations get a slot of their
+/// program's type and an [`Op::Eval`].
 fn sym_eval(
     cx: &mut PlanCx<'_>,
     co: &SymCo,
@@ -1044,9 +1018,9 @@ fn sym_eval(
     match sym_eval_lazy(cx, co, e)? {
         LazyVal::Const(v) => Ok(SymValue::Const(v)),
         LazyVal::Slot(s) => Ok(SymValue::Slot(s)),
-        LazyVal::Lane(expr) => {
-            let slot = cx.new_slot(expr.carrier())?;
-            ops.push(Op::Eval { expr, slot });
+        LazyVal::Lane(prog) => {
+            let slot = cx.new_slot(Carrier::Typed(prog.ty))?;
+            ops.push(Op::Eval { prog, slot });
             Ok(SymValue::Slot(slot))
         }
     }
@@ -1059,7 +1033,7 @@ fn sym_eval_dist(cx: &mut PlanCx<'_>, co: &SymCo, node: &DistNode) -> Result<Lan
         DistNode::Ctor(ctor) => {
             let vars = ctor.args().into_iter().flat_map(|arg| arg.free_vars());
             if let Some(binds) = capture(cx, co, vars)? {
-                return Ok(LaneDist::compile(ctor, binds, &cx.plan.carriers));
+                return Ok(LaneDist::compile(ctor, &binds, &cx.plan.carriers)?);
             }
             match eval_dist_in(&mut cx.scratch, ctor) {
                 Ok(d) => Ok(LaneDist::Const(d)),
@@ -1181,12 +1155,9 @@ fn sym_drive(cx: &mut PlanCx<'_>, co: &mut SymCo, ops: &mut Vec<Op>) -> Result<S
                                         let Expr::Var(x) = pred else {
                                             return Err(Bail("slot alias on non-variable"));
                                         };
-                                        let binds = vec![(*x, SymValue::Slot(s))];
-                                        SymBool::Lane(LaneExpr::compile(
-                                            pred,
-                                            binds,
-                                            &cx.plan.carriers,
-                                        ))
+                                        let binds = [(*x, SymValue::Slot(s))];
+                                        let carriers = &cx.plan.carriers;
+                                        SymBool::Lane(LaneProg::compile(pred, &binds, carriers)?)
                                     }
                                     Ok(LazyVal::Lane(pred)) => SymBool::Lane(pred),
                                     Err(Halt::Fails) => return Ok(SymStep::Fails),
@@ -1195,7 +1166,7 @@ fn sym_drive(cx: &mut PlanCx<'_>, co: &mut SymCo, ops: &mut Vec<Op>) -> Result<S
                                 // A predicate compiled to another type than
                                 // `bool` selects no branch: the path reruns
                                 // scalar, which reports the error.
-                                if let SymBool::Lane(LaneExpr::Prog(p)) = &selection {
+                                if let SymBool::Lane(p) = &selection {
                                     if p.ty != Ty::Bool {
                                         return Ok(SymStep::Fails);
                                     }
@@ -1335,7 +1306,7 @@ fn emit_score(cx: &PlanCx<'_>, ops: &mut Vec<Op>, model: bool, dist: LaneDist, v
                 });
             }
         }
-        (LaneDist::Params { .. } | LaneDist::Eval(_), _) => {
+        (LaneDist::Params { .. }, _) => {
             ops.push(Op::Score { model, dist, value });
         }
     }
@@ -1401,7 +1372,7 @@ fn fork(
     cx: &mut PlanCx<'_>,
     mut ops: Vec<Op>,
     st: SymJoint,
-    pred: LaneExpr,
+    pred: LaneProg,
     msg: Option<bool>,
     kind: ForkKind,
 ) -> Vec<Op> {
@@ -2012,7 +1983,6 @@ pub(crate) struct BlockScratch {
     param_buf: Vec<f64>,
     score_buf: Vec<f64>,
     sample_buf: Vec<Sample>,
-    eval_stack: ValueStack,
     finished: Vec<Option<(Value, Value, u32)>>,
 }
 
@@ -2035,10 +2005,8 @@ struct Runner<'p, 's> {
     param_buf: &'s mut Vec<f64>,
     score_buf: &'s mut [f64],
     sample_buf: &'s mut [Sample],
-    eval_stack: &'s mut ValueStack,
     finished: &'s mut [Option<(Value, Value, u32)>],
-    /// The worker's counts, bumped once per arm, fork or evaluator op,
-    /// never per lane.
+    /// The worker's counts, bumped once per arm or fork, never per lane.
     counts: &'s mut RunCounts,
 }
 
@@ -2077,16 +2045,6 @@ impl Runner<'_, '_> {
         }
     }
 
-    /// Rebuilds the evaluation stack from lane `lane`'s values of a
-    /// fallback's free variables.
-    fn bind(&mut self, binds: &[(Ident, SymValue)], lane: usize) {
-        self.eval_stack.clear();
-        for (x, sv) in binds {
-            let v = self.decode(sv, lane);
-            self.eval_stack.push(*x, v);
-        }
-    }
-
     /// Records lane `l`'s drawn value in its trace and in `slot`.
     fn record_draw(&mut self, l: usize, slot: usize, provider: bool, s: Sample) {
         self.traces[l].push(if provider {
@@ -2102,20 +2060,16 @@ impl Runner<'_, '_> {
     fn split(
         &mut self,
         lanes: &[u32],
-        pred: &LaneExpr,
+        pred: &LaneProg,
         msg: Option<bool>,
         then_lanes: &mut Vec<u32>,
         else_lanes: &mut Vec<u32>,
     ) -> Result<(), RunBail> {
         then_lanes.clear();
         else_lanes.clear();
-        self.count_evaluator(matches!(pred, LaneExpr::Eval(_)), lanes);
         for &l in lanes {
             let lu = l as usize;
-            let sel = match self.eval_lane(pred, lu)? {
-                (Ty::Bool, x) => x == 1.0,
-                _ => return Err(RunBail::Block),
-            };
+            let sel = self.eval_lane(pred, lu)? == 1.0;
             if let Some(provider) = msg {
                 self.traces[lu].push(if provider {
                     Message::DirP(sel)
@@ -2132,68 +2086,38 @@ impl Runner<'_, '_> {
         Ok(())
     }
 
-    /// Counts `lanes` as evaluator lanes when an op leaves them to the
-    /// evaluator.
-    fn count_evaluator(&mut self, fallback: bool, lanes: &[u32]) {
-        if fallback {
-            self.counts.evaluator_lanes += lanes.len() as u64;
-        }
-    }
-
-    /// Lane `l`'s value of a per-lane expression, as `(type, bits)`.
-    // Forced inline into the ops' per-lane loops; the evaluator stays out
-    // of line.
+    /// Lane `l`'s encoded value of a per-lane expression.
+    // Forced inline into the ops' per-lane loops.
     #[inline(always)]
-    fn eval_lane(&mut self, expr: &LaneExpr, l: usize) -> Result<(Ty, f64), RunBail> {
-        match expr {
-            LaneExpr::Prog(p) => match p.eval(self.slots, self.tags, l) {
-                Some(x) => Ok((p.ty, x)),
-                None => Err(RunBail::Block),
-            },
-            LaneExpr::Eval(f) => self.eval_fallback(f, l),
-        }
-    }
-
-    #[cold]
-    fn eval_fallback(&mut self, f: &Fallback<Expr>, l: usize) -> Result<(Ty, f64), RunBail> {
-        self.bind(&f.binds, l);
-        let v = eval_expr_in(&mut *self.eval_stack, &f.expr).map_err(|_| RunBail::Block)?;
-        encode_value(&v).ok_or(RunBail::Block)
+    fn eval_lane(&self, prog: &LaneProg, l: usize) -> Result<f64, RunBail> {
+        prog.eval(self.slots, self.tags, l).ok_or(RunBail::Block)
     }
 
     /// Lane `l`'s distribution at a per-lane constructor site.
     #[inline(always)]
-    fn dist_lane(&mut self, dist: &LaneDist, l: usize) -> Result<Distribution, RunBail> {
-        match dist {
-            LaneDist::Const(d) => Ok(d.clone()),
-            LaneDist::Params { ctor, args } => {
-                let (slots, tags) = (&*self.slots, &*self.tags);
-                let arg = |a: &LaneProg| a.eval(slots, tags, l).ok_or(RunBail::Block);
-                // Scalar constructors take at most two parameters: keep
-                // them on the stack.
-                let built = if args.len() <= 2 {
-                    let mut xs = [0.0; 2];
-                    for (a, x) in args.iter().zip(&mut xs) {
-                        *x = arg(a)?;
-                    }
-                    ctor.build(&xs[..args.len()])
-                } else {
-                    self.param_buf.clear();
-                    for a in args.iter() {
-                        self.param_buf.push(arg(a)?);
-                    }
-                    ctor.build(self.param_buf)
-                };
-                built.map_err(|_| RunBail::Block)
+    fn dist_lane(
+        &mut self,
+        ctor: Ctor,
+        args: &[LaneProg],
+        l: usize,
+    ) -> Result<Distribution, RunBail> {
+        // Scalar constructors take at most two parameters: keep them on
+        // the stack.
+        let built = if args.len() <= 2 {
+            let mut xs = [0.0; 2];
+            for (a, x) in args.iter().zip(&mut xs) {
+                *x = self.eval_lane(a, l)?;
             }
-            LaneDist::Eval(f) => self.dist_fallback(f, l),
-        }
-    }
-
-    #[cold]
-    fn dist_fallback(&mut self, f: &Fallback<DistExpr>, l: usize) -> Result<Distribution, RunBail> {
-        self.bind(&f.binds, l);
-        eval_dist_in(&mut *self.eval_stack, &f.expr).map_err(|_| RunBail::Block)
+            ctor.build(&xs[..args.len()])
+        } else {
+            self.param_buf.clear();
+            for a in args {
+                let x = self.eval_lane(a, l)?;
+                self.param_buf.push(x);
+            }
+            ctor.build(self.param_buf)
+        };
+        built.map_err(|_| RunBail::Block)
     }
 
     /// Lane `l`'s `(type, bits)` of a value crossing a call boundary.
@@ -2320,7 +2244,7 @@ impl Runner<'_, '_> {
     fn fork(
         &mut self,
         lanes: &[u32],
-        pred: &LaneExpr,
+        pred: &LaneProg,
         msg: Option<bool>,
         (then_arm, else_arm): (usize, usize),
         depth: usize,
@@ -2422,11 +2346,10 @@ impl Runner<'_, '_> {
                         self.record_draw(l, *slot, *provider, s);
                     }
                 }
-                LaneDist::Params { .. } | LaneDist::Eval(_) => {
-                    self.count_evaluator(matches!(dist, LaneDist::Eval(_)), lanes);
+                LaneDist::Params { ctor, args } => {
                     for &l in lanes {
                         let l = l as usize;
-                        let d = self.dist_lane(dist, l)?;
+                        let d = self.dist_lane(*ctor, args, l)?;
                         let s = d.draw(&mut self.rngs[l]);
                         self.record_draw(l, *slot, *provider, s);
                     }
@@ -2458,11 +2381,10 @@ impl Runner<'_, '_> {
                         lw[l as usize] += w;
                     }
                 }
-                (dist, value) => {
-                    self.count_evaluator(matches!(dist, LaneDist::Eval(_)), lanes);
+                (LaneDist::Params { ctor, args }, value) => {
                     for &l in lanes {
                         let l = l as usize;
-                        let d = self.dist_lane(dist, l)?;
+                        let d = self.dist_lane(*ctor, args, l)?;
                         let sample = match value {
                             ScoreVal::Sample(v) => *v,
                             ScoreVal::Slot(s) => {
@@ -2480,12 +2402,11 @@ impl Runner<'_, '_> {
                     lw[l as usize] += *w;
                 }
             }
-            Op::Eval { expr, slot } => {
-                self.count_evaluator(matches!(expr, LaneExpr::Eval(_)), lanes);
+            Op::Eval { prog, slot } => {
                 for &l in lanes {
                     let l = l as usize;
-                    let (ty, x) = self.eval_lane(expr, l)?;
-                    (self.slots[*slot][l], self.tags[*slot][l]) = (x, ty);
+                    let x = self.eval_lane(prog, l)?;
+                    self.slots[*slot][l] = x;
                 }
             }
             Op::Fold => {
@@ -2684,7 +2605,6 @@ impl JointExecutor {
                 param_buf: &mut bs.param_buf,
                 score_buf: &mut bs.score_buf[..count],
                 sample_buf: &mut bs.sample_buf[..count],
-                eval_stack: &mut bs.eval_stack,
                 finished: &mut bs.finished[..count],
                 counts: &mut scratch.counts,
             };
@@ -3306,7 +3226,8 @@ mod tests {
     }
 
     /// The test slots: `u` real, `k` natural, `b` Boolean, `d` a value a
-    /// call passes in, declared real, and `e` an evaluator result.
+    /// call passes in, declared real, and `e` one declared a function or
+    /// distribution type.
     fn lane_slots() -> ([Carrier; 5], Vec<(Ident, SymValue)>) {
         let carriers = [
             Carrier::Typed(Ty::Real),
@@ -3325,10 +3246,7 @@ mod tests {
 
     fn lane_prog(src: &str, carriers: &[Carrier], binds: &[(Ident, SymValue)]) -> Option<LaneProg> {
         let e = ppl_syntax::parse_expr(src).expect("parses");
-        match LaneExpr::compile(&e, binds.to_vec(), carriers) {
-            LaneExpr::Prog(p) => Some(p),
-            LaneExpr::Eval(_) => None,
-        }
+        LaneProg::compile(&e, binds, carriers).ok()
     }
 
     #[test]
@@ -3347,9 +3265,10 @@ mod tests {
         // Mixed operands go through `as_f64`, as in the evaluator.
         assert_eq!(ty("k + 1.0"), Some(Ty::Real));
         assert_eq!(ty("if b then () else ()"), Some(Ty::Unit));
-        // Shapes the evaluator keeps: an expression-level `let`, a value
-        // of unknown type, arms of two types, operators that always error,
-        // and operand stacks past the depth limit.
+        // Shapes outside the fragment, which give up on the plan: an
+        // expression-level `let`, a value of unknown type, arms of two
+        // types, operators that always error, and operand stacks past the
+        // depth limit.
         assert_eq!(ty("let x = u in x * 2.0"), None);
         assert_eq!(ty("e + 1.0"), None);
         assert_eq!(ty("if b then u else k"), None);
@@ -3532,29 +3451,68 @@ mod tests {
     }
 
     #[test]
-    fn shapes_lane_programs_cannot_express_reach_the_evaluator_counted() {
-        // An expression-level `let` keeps the evaluator, one lane per site.
-        let model = r#"
-            proc Model() : real consume latent provide obs {
-              let x <- sample recv latent (Normal(0.0, 1.0));
-              let _ <- sample send obs (Normal(let z = x * 2.0 in z + 1.0, 1.0));
-              return x
-            }
-        "#;
+    fn shapes_outside_the_lane_fragment_take_the_scalar_verdict() {
+        // Each shape no lane program expresses, at its own kind of
+        // per-lane site: an expression-level `let` in a distribution
+        // parameter, a lambda application in a bound value, and an operand
+        // stack deeper than `LANE_DEPTH` in a fork predicate.
+        let model = |bound: &str, pred: &str, param: &str| {
+            format!(
+                r#"
+                proc Model() : real consume latent provide obs {{
+                  let x <- sample recv latent (Normal(0.0, 1.0));
+                  let y <- return ({bound});
+                  if send latent ({pred}) {{
+                    let _ <- sample send obs (Normal({param}, 1.0));
+                    return y
+                  }} else {{
+                    let _ <- sample send obs (Normal(0.0, 1.0));
+                    return y
+                  }}
+                }}
+                "#
+            )
+        };
         let guide = r#"
             proc Guide() provide latent {
               let x <- sample send latent (Normal(0.5, 1.5));
-              return ()
+              if recv latent {
+                return ()
+              } else {
+                return ()
+              }
             }
         "#;
-        let exec = executor(model, guide, vec![Sample::Real(1.0)]);
-        let spec = JointSpec::new("Model", "Guide");
-        let verdicts = assert_block_matches_scalar(&exec, &spec, 100, 0xE7A1);
-        assert_eq!(verdicts, [OK; BLOCK_SIZES.len()]);
-        let (verdicts, mut scratch) = verdicts_per_block(&exec, &spec, 0xE7A1, 16, 4);
-        assert_eq!(verdicts, [OK; 4]);
-        let counts = scratch.take_counts();
-        assert_eq!((counts.evaluator_lanes, counts.scalar_lanes), (64, 0));
+        let (bound, pred, param) = ("x * 2.0", "x < 0.5", "y");
+        let deep = "x + (x + (x + (x + (x + (x + (x + (x + x))))))) < 4.0";
+        let cases = [
+            ("fragment", model(bound, pred, param), OK),
+            (
+                "let",
+                model(bound, pred, "let z = y * 2.0 in z + 1.0"),
+                Some(Err(OUTSIDE_FRAGMENT.0)),
+            ),
+            (
+                "lambda",
+                model("let f = fn (v : real) => v * 2.0 in f(x)", pred, param),
+                Some(Err(OUTSIDE_FRAGMENT.0)),
+            ),
+            (
+                "depth",
+                model(bound, deep, param),
+                Some(Err(OUTSIDE_FRAGMENT.0)),
+            ),
+        ];
+        for (name, model, verdict) in cases {
+            let exec = executor(&model, guide, vec![Sample::Real(1.0)]);
+            let spec = JointSpec::new("Model", "Guide");
+            let verdicts = assert_block_matches_scalar(&exec, &spec, 100, 0xE7A1);
+            assert_eq!(verdicts, [verdict; BLOCK_SIZES.len()], "{name}");
+            let (verdicts, mut scratch) = verdicts_per_block(&exec, &spec, 0xE7A1, 16, 4);
+            assert_eq!(verdicts, [verdict; 4], "{name}");
+            let scalar = if verdict == OK { 0 } else { 64 };
+            assert_eq!(scratch.take_counts().scalar_lanes, scalar, "{name}");
+        }
     }
 
     #[test]

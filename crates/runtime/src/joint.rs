@@ -208,13 +208,9 @@ pub struct RunCounts {
     /// Diverged forks whose arms both finished, rejoining their lanes.
     pub lane_reconverges: u64,
     /// Lanes the per-lane scalar fallback ran: every lane of a block whose
-    /// plan gave up or that nested past the executor's guard.
+    /// plan gave up ([`JointScratch::plan_verdict`] says why) or that
+    /// nested past the executor's guard.
     pub scalar_lanes: u64,
-    /// Per-lane expressions the block executor handed to the evaluator,
-    /// one per lane per site, because its lane programs cannot express
-    /// their shape (an expression-level `let`, a lambda application, an
-    /// operand stack past the depth limit).
-    pub evaluator_lanes: u64,
 }
 
 impl std::ops::AddAssign for RunCounts {
@@ -223,7 +219,6 @@ impl std::ops::AddAssign for RunCounts {
         self.lane_splits += other.lane_splits;
         self.lane_reconverges += other.lane_reconverges;
         self.scalar_lanes += other.scalar_lanes;
-        self.evaluator_lanes += other.evaluator_lanes;
     }
 }
 

@@ -829,10 +829,7 @@ fn query(app: &Arc<App>, req: &Request) -> Result<Response, ApiError> {
         app.limits.query_concurrency,
         "query",
     )?;
-    let doc = {
-        let _span = ppl_obs::Span::enter(ppl_obs::Phase::JsonDecode);
-        parse_body(req)?
-    };
+    let doc = parse_body(req)?;
     // `"diagnostics": true` (or `X-Ppl-Trace: 1`) asks for the trace
     // block.  Neither touches the cache fingerprint, and the block is
     // spliced into the response *after* the clean body was cached, so a
@@ -844,7 +841,7 @@ fn query(app: &Arc<App>, req: &Request) -> Result<Response, ApiError> {
             .unwrap_or(false);
     let entry = lookup_model(app, &doc)?;
     let request = decode_request(app, &doc, &entry)?;
-    let (body, hit, engine) = serve_one(app, &entry, &request)?;
+    let (body, hit, engine) = serve_one(app, &entry, &request, None)?;
     let mut text = body.to_string();
     if want_trace {
         splice_trace(&mut text, hit, engine);
@@ -915,7 +912,6 @@ fn engine_json(diag: &ppl_inference::Diagnostics) -> Json {
         ("lane_reconverges".into(), count(diag.lane_reconverges)),
         ("cancel_checks".into(), count(diag.cancel_checks)),
         ("scalar_lanes".into(), count(diag.scalar_lanes)),
-        ("evaluator_lanes".into(), count(diag.evaluator_lanes)),
     ])
 }
 
@@ -943,7 +939,6 @@ fn engine_pairs(diag: &ppl_inference::Diagnostics) -> Vec<(String, f64)> {
         ("lane_reconverges".to_string(), diag.lane_reconverges as f64),
         ("cancel_checks".to_string(), diag.cancel_checks as f64),
         ("scalar_lanes".to_string(), diag.scalar_lanes as f64),
-        ("evaluator_lanes".to_string(), diag.evaluator_lanes as f64),
     ]);
     pairs
 }
@@ -1009,28 +1004,30 @@ fn batch(app: &Arc<App>, req: &Request) -> Result<Response, ApiError> {
 
     // Decode and *validate* every item before running anything: a bad
     // item rejects the whole batch with its index, and no partial work is
-    // spent on a request that was never going to succeed.
-    let mut requests = Vec::with_capacity(sets.len());
-    for (i, set) in sets.iter().enumerate() {
-        let at = |e: ApiError| e.with("index", Json::Num(i as f64));
-        let mut request = base.clone();
-        request.fields.observations =
-            decode_observations(set, "each observation set must be an array").map_err(at)?;
-        request.fields.seed = match &seeds {
-            Some(seeds) => seeds[i],
-            None => base.fields.seed + i as u64,
-        };
-        // Validation (observation protocol, arity, rendezvous) runs now,
-        // before any inference.
-        build_query(&entry, &request.fields, &request.guide_args).map_err(at)?;
-        requests.push(request);
+    // spent on a request that was never going to succeed.  Each item's
+    // built query is the one its run uses.
+    let mut items = Vec::with_capacity(sets.len());
+    {
+        let _span = ppl_obs::Span::enter(ppl_obs::Phase::Validate);
+        for (i, set) in sets.iter().enumerate() {
+            let at = |e: ApiError| e.with("index", Json::Num(i as f64));
+            let mut request = base.clone();
+            request.fields.observations =
+                decode_observations(set, "each observation set must be an array").map_err(at)?;
+            request.fields.seed = match &seeds {
+                Some(seeds) => seeds[i],
+                None => base.fields.seed + i as u64,
+            };
+            let query = build_query(&entry, &request.fields, &request.guide_args).map_err(at)?;
+            items.push((request, query));
+        }
     }
 
-    let mut results = Vec::with_capacity(requests.len());
+    let mut results = Vec::with_capacity(items.len());
     let mut hits = 0usize;
-    for (i, request) in requests.iter().enumerate() {
-        let (body, hit, _) =
-            serve_one(app, &entry, request).map_err(|e| e.with("index", Json::Num(i as f64)))?;
+    for (i, (request, query)) in items.into_iter().enumerate() {
+        let (body, hit, _) = serve_one(app, &entry, &request, Some(query))
+            .map_err(|e| e.with("index", Json::Num(i as f64)))?;
         hits += hit as usize;
         // The cached body is itself a JSON document; splice it verbatim so
         // each result stays byte-identical to its `/v1/query` response.
@@ -1051,7 +1048,9 @@ fn batch(app: &Arc<App>, req: &Request) -> Result<Response, ApiError> {
     Ok(Response::json(200, body).with_header("X-Cache-Hits", &hits.to_string()))
 }
 
+/// Parses a request body, timed as the request's `json.decode` phase.
 pub(crate) fn parse_body(req: &Request) -> Result<Json, ApiError> {
+    let _span = ppl_obs::Span::enter(ppl_obs::Phase::JsonDecode);
     let text = std::str::from_utf8(&req.body)
         .map_err(|_| bad_schema("request body is not valid UTF-8"))?;
     Json::parse(text).map_err(bad_json)
@@ -1085,11 +1084,14 @@ fn lookup_model(app: &Arc<App>, doc: &Json) -> Result<Arc<ModelEntry>, ApiError>
 /// (zero particles run), a miss validates, runs inference, and stores the
 /// body.  Consulting the cache *before* validation is sound because the
 /// fingerprint encoding is injective: a hit means a byte-equivalent
-/// request was served before, and that request passed validation.
+/// request was served before, and that request passed validation.  A
+/// caller that validated up front passes the `query` it built, which a
+/// miss runs instead of building another.
 fn serve_one(
     app: &Arc<App>,
     entry: &ModelEntry,
     request: &QueryRequest,
+    query: Option<Query>,
 ) -> Result<(Arc<str>, bool, Option<Json>), ApiError> {
     // Keyed by the entry *id*, not the display name: for user models the
     // id is a content hash, so cached bytes stay valid across eviction and
@@ -1104,9 +1106,12 @@ fn serve_one(
         return Ok((body, true, None));
     }
     ppl_obs::trace::annotate("cache", "miss".to_string());
-    let query = {
-        let _span = ppl_obs::Span::enter(ppl_obs::Phase::Validate);
-        build_query(entry, &request.fields, &request.guide_args)?
+    let query = match query {
+        Some(query) => query,
+        None => {
+            let _span = ppl_obs::Span::enter(ppl_obs::Phase::Validate);
+            build_query(entry, &request.fields, &request.guide_args)?
+        }
     };
     // Cold VI requests spend their run fitting a guide; IS/MH requests and
     // artifact-warm queries spend it drawing.  (The VI posterior's draw

@@ -287,11 +287,11 @@ impl Registry {
         }
         while user.slots.len() >= self.user_capacity {
             // Scan-on-evict, like the response cache: the table is small
-            // (tens of entries) and eviction is rare.
+            // (tens of entries), and no two slots share a fresh tick.
             let victim = user
                 .slots
                 .iter()
-                .min_by_key(|(id, slot)| (slot.last_used, (*id).clone()))
+                .min_by_key(|(_, slot)| slot.last_used)
                 .map(|(id, _)| id.clone())
                 .expect("non-empty over-capacity table");
             user.slots.remove(&victim);

@@ -46,7 +46,7 @@ fn num(doc: &Json, key: &str) -> f64 {
 }
 
 /// The engine counts of one uncached branching run.
-fn branching_counts(app: &std::sync::Arc<App>) -> [f64; 5] {
+fn branching_counts(app: &std::sync::Arc<App>) -> [f64; 4] {
     let doc = body_json(&app.handler()(&request("POST", "/v1/query", BRANCHING)));
     let engine = doc
         .get("trace")
@@ -57,7 +57,6 @@ fn branching_counts(app: &std::sync::Arc<App>) -> [f64; 5] {
         "lane_reconverges",
         "cancel_checks",
         "scalar_lanes",
-        "evaluator_lanes",
     ]
     .map(|k| num(engine, k))
 }
@@ -72,7 +71,6 @@ fn engine_counts_ignore_a_concurrent_neighbour() {
     );
     assert_eq!(solo[0], solo[1], "every split reconverges");
     assert_eq!(solo[3], 0.0, "branching vectorises every lane");
-    assert_eq!(solo[4], 0.0, "branching compiles every lane expression");
 
     // The neighbour runs ex-2 back to back from before the first round
     // until after the last, so every round overlaps its blocks.  The
@@ -80,7 +78,7 @@ fn engine_counts_ignore_a_concurrent_neighbour() {
     // leave it running.
     let stop = AtomicBool::new(false);
     let neighbour_runs = AtomicUsize::new(0);
-    let rounds: Vec<[f64; 5]> = std::thread::scope(|scope| {
+    let rounds: Vec<[f64; 4]> = std::thread::scope(|scope| {
         let neighbour = scope.spawn(|| {
             let handler = app.handler();
             while !stop.load(Ordering::Relaxed) {

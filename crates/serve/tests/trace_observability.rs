@@ -379,3 +379,52 @@ fn artifact_queries_are_traced_like_cold_ones() {
         );
     }
 }
+
+#[test]
+fn every_request_body_parse_is_timed() {
+    let app = App::new(Registry::from_benchmarks(), 32);
+    let handler = app.handler();
+    let submit = r#"{"name":"traced",
+        "model_src":"proc Model() : real consume latent provide obs { let mu <- sample recv latent (Normal(0.0, 1.0)); let _ <- sample send obs (Normal(mu, 1.0)); return mu }",
+        "guide_src":"proc Guide() provide latent { let mu <- sample send latent (Normal(0.0, 2.0)); return () }"}"#;
+    let routes = [
+        (
+            "/v1/batch",
+            r#"{"model":"ex-1","observation_sets":[[0.8]],
+                "method":{"algorithm":"importance","particles":200},"seed":5}"#,
+            200,
+            &["json.decode", "validate", "infer.draw"][..],
+        ),
+        (
+            "/v1/fit",
+            r#"{"model":"weight","observations":[9.0,9.0],"seed":3,
+                "fit":{"iterations":5,"samples_per_iteration":2}}"#,
+            201,
+            &["json.decode", "infer.fit"][..],
+        ),
+        ("/v1/models", submit, 201, &["json.decode", "compile"][..]),
+    ];
+    for (path, body, status, phases) in routes {
+        let response = handler(&request("POST", path, &[], body));
+        assert_eq!(
+            response.status,
+            status,
+            "{path}: {}",
+            String::from_utf8_lossy(&response.body)
+        );
+        let id = header(&response, "X-Ppl-Trace-Id").expect("trace id");
+        let doc = body_json(&handler(&request(
+            "GET",
+            &format!("/v1/trace/{id}"),
+            &[],
+            "",
+        )));
+        let spans = doc.get("spans_ms").expect("per-phase spans");
+        for phase in phases {
+            assert!(
+                spans.get(phase).and_then(Json::as_f64).is_some(),
+                "{path}: {phase} was timed: {spans:?}"
+            );
+        }
+    }
+}

@@ -14,10 +14,10 @@
 //! # Bounded GC
 //!
 //! The index holds at most `capacity` artifacts.  Inserting beyond
-//! capacity evicts the least-recently-used artifact (ties broken by id
-//! for determinism) and deletes its file, using the same tick-based
-//! scan-on-evict pattern as the serving registry: `get` refreshes an
-//! artifact's tick, so warm-path artifacts survive pressure from one-off
+//! capacity evicts the least-recently-used artifact and deletes its file,
+//! using the same tick-based scan-on-evict pattern as the serving
+//! registry: every insert and `get` takes a fresh tick, so no two
+//! artifacts tie, and warm-path artifacts survive pressure from one-off
 //! fits.
 
 use crate::artifact::{Artifact, ArtifactError};
@@ -202,7 +202,7 @@ impl Store {
             let victim = index
                 .slots
                 .iter()
-                .min_by_key(|(id, slot)| (slot.last_used, (*id).clone()))
+                .min_by_key(|(_, slot)| slot.last_used)
                 .map(|(id, _)| id.clone())
                 .expect("non-empty over capacity");
             index.slots.remove(&victim);

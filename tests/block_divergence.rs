@@ -321,9 +321,9 @@ fn registry_plan_verdicts_are_pinned() {
         // Plans grow with the program's paths, not with recursion depth.
         let planned = scratch.planned_arms().expect("vectorised");
         assert!(planned <= 16, "{}: {planned} planned arms", b.name);
-        // Every per-lane expression runs as a compiled lane program.
+        // Every block ran vectorised: a per-lane expression outside the
+        // lane-program fragment would have given up on the plan.
         let counts = scratch.take_counts();
-        assert_eq!(counts.evaluator_lanes, 0, "{}: evaluator lanes", b.name);
         assert_eq!(counts.scalar_lanes, 0, "{}: scalar lanes", b.name);
     }
 }
