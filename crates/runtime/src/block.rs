@@ -1040,10 +1040,14 @@ fn sym_eval_dist(cx: &mut PlanCx<'_>, co: &SymCo, node: &DistNode) -> Result<Lan
                 Err(_) => Err(Halt::Fails),
             }
         }
+        // No lane program holds a distribution: a per-lane one is named
+        // here, before `sym_eval_lazy` would give up on compiling it.
+        DistNode::Opaque(e) if capture(cx, co, e.free_vars())?.is_some() => {
+            Err(Halt::Bail(Bail("per-lane opaque distribution")))
+        }
         DistNode::Opaque(e) => match sym_eval_lazy(cx, co, e)? {
             LazyVal::Const(Value::Dist(d)) => Ok(LaneDist::Const(d)),
-            LazyVal::Const(_) => Err(Halt::Fails),
-            _ => Err(Halt::Bail(Bail("per-lane opaque distribution"))),
+            _ => Err(Halt::Fails),
         },
     }
 }
@@ -3454,16 +3458,17 @@ mod tests {
     fn shapes_outside_the_lane_fragment_take_the_scalar_verdict() {
         // Each shape no lane program expresses, at its own kind of
         // per-lane site: an expression-level `let` in a distribution
-        // parameter, a lambda application in a bound value, and an operand
-        // stack deeper than `LANE_DEPTH` in a fork predicate.
-        let model = |bound: &str, pred: &str, param: &str| {
+        // parameter, a lambda application in a bound value, an operand
+        // stack deeper than `LANE_DEPTH` in a fork predicate, and a
+        // distribution chosen per lane, which keeps its own reason.
+        let model = |bound: &str, pred: &str, obs: &str| {
             format!(
                 r#"
                 proc Model() : real consume latent provide obs {{
                   let x <- sample recv latent (Normal(0.0, 1.0));
                   let y <- return ({bound});
                   if send latent ({pred}) {{
-                    let _ <- sample send obs (Normal({param}, 1.0));
+                    let _ <- sample send obs ({obs});
                     return y
                   }} else {{
                     let _ <- sample send obs (Normal(0.0, 1.0));
@@ -3483,24 +3488,33 @@ mod tests {
               }
             }
         "#;
-        let (bound, pred, param) = ("x * 2.0", "x < 0.5", "y");
+        let (bound, pred, obs) = ("x * 2.0", "x < 0.5", "Normal(y, 1.0)");
         let deep = "x + (x + (x + (x + (x + (x + (x + (x + x))))))) < 4.0";
         let cases = [
-            ("fragment", model(bound, pred, param), OK),
+            ("fragment", model(bound, pred, obs), OK),
             (
                 "let",
-                model(bound, pred, "let z = y * 2.0 in z + 1.0"),
+                model(bound, pred, "Normal(let z = y * 2.0 in z + 1.0, 1.0)"),
                 Some(Err(OUTSIDE_FRAGMENT.0)),
             ),
             (
                 "lambda",
-                model("let f = fn (v : real) => v * 2.0 in f(x)", pred, param),
+                model("let f = fn (v : real) => v * 2.0 in f(x)", pred, obs),
                 Some(Err(OUTSIDE_FRAGMENT.0)),
             ),
             (
                 "depth",
-                model(bound, deep, param),
+                model(bound, deep, obs),
                 Some(Err(OUTSIDE_FRAGMENT.0)),
+            ),
+            (
+                "opaque",
+                model(
+                    bound,
+                    pred,
+                    "if y < 0.0 then Normal(0.0, 1.0) else Normal(y, 1.0)",
+                ),
+                Some(Err("per-lane opaque distribution")),
             ),
         ];
         for (name, model, verdict) in cases {
